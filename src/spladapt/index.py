@@ -10,7 +10,7 @@ every scored document is considered, no approximation.
 
 On disk an index is a directory {meta.json, postings.bin, docstore.bin};
 binary payloads are little-endian with doc ids referenced by position in the
-docstore.
+docstore, and meta.json (schema 2) holds their blake2b-64 checksums.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ INDEX_KINDS = ("impact", "frequency")
 BM25_K1 = 0.9
 BM25_B = 0.4
 
-_META_SCHEMA = 1
+_META_SCHEMA = 2
+# one posting in postings.bin: doc position in the docstore, weight
+_RECORD = np.dtype([("pos", "<u4"), ("w", "<f4")])
 
 
 @dataclass
@@ -60,7 +62,8 @@ class InvertedIndex:
     postings: dict[int, list[tuple[str, float]]]  # term id -> [(doc_id, weight)], doc_id ascending
     doc_lengths: dict[str, int]                   # content token count per doc
     avgdl: float
-    # array view of the postings, built on first retrieval (derived, not saved)
+    # array view of the postings, filled by load_index or built on first
+    # retrieval (derived, not saved)
     _doc_ids: list[str] | None = field(default=None, repr=False, compare=False)
     _arrays: dict | None = field(default=None, repr=False, compare=False)
 
@@ -234,43 +237,46 @@ def save_index(index: InvertedIndex, path: str | Path) -> Path:
     doc_ids = sorted(index.doc_lengths)
     doc_pos = {d: i for i, d in enumerate(doc_ids)}
 
-    store = bytearray()
-    store += struct.pack("<I", len(doc_ids))
+    store = [struct.pack("<I", len(doc_ids))]
     for d in doc_ids:
         raw = d.encode("utf-8")
-        store += struct.pack("<H", len(raw)) + raw + struct.pack("<I", index.doc_lengths[d])
+        store += (struct.pack("<H", len(raw)), raw, struct.pack("<I", index.doc_lengths[d]))
 
-    post = bytearray()
-    post += struct.pack("<I", len(index.postings))
+    post = [struct.pack("<I", len(index.postings))]
     for tid in sorted(index.postings):
         plist = index.postings[tid]
-        post += struct.pack("<II", tid, len(plist))
-        for doc_id, weight in plist:
-            post += struct.pack("<If", doc_pos[doc_id], weight)
+        recs = np.empty(len(plist), _RECORD)
+        recs["pos"] = [doc_pos[d] for d, _ in plist]
+        recs["w"] = [w for _, w in plist]
+        post += (struct.pack("<II", tid, len(plist)), recs.tobytes())
 
+    payloads = {"postings.bin": b"".join(post), "docstore.bin": b"".join(store)}
     meta = {
         "schema_version": _META_SCHEMA,
         "kind": index.kind,
         "n_docs": index.n_docs,
         "avgdl": index.avgdl,
-        "postings_checksum": fnv1a64(bytes(post)),
-        "docstore_checksum": fnv1a64(bytes(store)),
+        "postings_checksum": fnv1a64(payloads["postings.bin"]),
+        "docstore_checksum": fnv1a64(payloads["docstore.bin"]),
     }
-    for name, payload in (("postings.bin", bytes(post)), ("docstore.bin", bytes(store))):
+    payloads["meta.json"] = json.dumps(meta, indent=1).encode("utf-8")
+    for name, payload in payloads.items():  # meta.json last, after the payloads it checks
         tmp = path / (name + ".tmp")
         tmp.write_bytes(payload)
         tmp.replace(path / name)
-    tmp = path / "meta.json.tmp"
-    tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
-    tmp.replace(path / "meta.json")
     return path
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read and verify an index directory. The posting_arrays view is filled
+    from the records as they are read, so the first query does not rebuild it."""
     path = Path(path)
-    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     if meta.get("schema_version") != _META_SCHEMA:
-        raise ValueError(f"unsupported index schema {meta.get('schema_version')!r}")
+        raise ValueError(f"{meta_path}: schema_version {meta.get('schema_version')!r} is not "
+                         f"{_META_SCHEMA}; v1 used FNV-1a checksums, so rebuild the index "
+                         f"(spladapt index)")
     if meta["kind"] not in INDEX_KINDS:
         raise ValueError(f"unknown index kind {meta['kind']!r}")
     store = (path / "docstore.bin").read_bytes()
@@ -280,37 +286,52 @@ def load_index(path: str | Path) -> InvertedIndex:
     if fnv1a64(post) != meta["postings_checksum"]:
         raise ValueError(f"{path}: postings.bin checksum mismatch")
 
-    off = 0
-    (n_docs,) = struct.unpack_from("<I", store, off)
-    off += 4
-    doc_ids: list[str] = []
     doc_lengths: dict[str, int] = {}
-    for _ in range(n_docs):
-        (ln,) = struct.unpack_from("<H", store, off)
-        off += 2
-        doc_id = store[off: off + ln].decode("utf-8")
-        off += ln
-        (dl,) = struct.unpack_from("<I", store, off)
-        off += 4
-        doc_ids.append(doc_id)
-        doc_lengths[doc_id] = dl
+    try:
+        (n_docs,) = struct.unpack_from("<I", store, 0)
+        off = 4
+        for _ in range(n_docs):
+            (ln,) = struct.unpack_from("<H", store, off)
+            doc_id = store[off + 2: off + 2 + ln].decode("utf-8")
+            (doc_lengths[doc_id],) = struct.unpack_from("<I", store, off + 2 + ln)
+            off += 6 + ln
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path / 'docstore.bin'}: malformed: {exc}") from None
+    # positions index the sorted doc ids, as posting_arrays() numbers them
+    doc_ids = list(doc_lengths)
+    if doc_ids != sorted(doc_ids) or len(doc_ids) != n_docs or off != len(store):
+        raise ValueError(f"{path / 'docstore.bin'}: doc ids are not unique and ascending, "
+                         f"or bytes follow the last doc")
+    if n_docs != meta["n_docs"]:
+        raise ValueError(f"{path}: docstore holds {n_docs} docs, meta says {meta['n_docs']}")
 
-    off = 0
-    (n_terms,) = struct.unpack_from("<I", post, off)
-    off += 4
+    try:
+        (n_terms,) = struct.unpack_from("<I", post, 0)
+        # after the term count: 8-byte cells, each term's (tid, n) header then its n records
+        cells = np.frombuffer(post, _RECORD, offset=4)
+        spans, i = [], 0
+        for _ in range(n_terms):
+            tid, n = struct.unpack_from("<II", post, 4 + 8 * i)
+            spans.append((tid, i + 1, i + 1 + n))
+            i += 1 + n
+    except (struct.error, ValueError) as exc:  # ValueError: np.frombuffer of a ragged tail
+        raise ValueError(f"{path / 'postings.bin'}: term records overrun the file: {exc}") from None
+    if i != len(cells):
+        raise ValueError(f"{path / 'postings.bin'}: {n_terms} terms fill {i} of its "
+                         f"{len(cells)} records")
+    # each term's arrays are slices of one array per field: measured faster to
+    # score than arrays allocated one by one between the posting tuples
+    pos, w = cells["pos"].astype(np.int64), cells["w"].astype(np.float64)
+    pos_list, w_list = pos.tolist(), w.tolist()
     postings: dict[int, list[tuple[str, float]]] = {}
-    for _ in range(n_terms):
-        tid, n = struct.unpack_from("<II", post, off)
-        off += 8
-        plist = []
-        for _ in range(n):
-            pos, weight = struct.unpack_from("<If", post, off)
-            off += 8
-            plist.append((doc_ids[pos], weight))
-        postings[tid] = plist
+    arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    try:
+        for tid, lo, hi in spans:
+            postings[tid] = list(zip(map(doc_ids.__getitem__, pos_list[lo:hi]), w_list[lo:hi]))
+            arrays[tid] = (pos[lo:hi], w[lo:hi])
+    except IndexError:
+        raise ValueError(f"{path / 'postings.bin'}: term {tid} names a doc position past "
+                         f"the {n_docs} docs of docstore.bin") from None
 
-    index = InvertedIndex(kind=meta["kind"], postings=postings,
-                          doc_lengths=doc_lengths, avgdl=meta["avgdl"])
-    if index.n_docs != meta["n_docs"]:
-        raise ValueError(f"{path}: docstore holds {index.n_docs} docs, meta says {meta['n_docs']}")
-    return index
+    return InvertedIndex(kind=meta["kind"], postings=postings, doc_lengths=doc_lengths,
+                         avgdl=meta["avgdl"], _doc_ids=doc_ids, _arrays=arrays)

@@ -8,12 +8,14 @@ checkpoint a well-defined operation.
 
 Checkpoint layout: a directory holding manifest.json and tensors.bin. The
 blob is every tensor's float32 little-endian row-major bytes concatenated in
-lexicographic name order; the manifest records per-tensor offsets and FNV-1a
-checksums plus a whole-blob checksum and the parent provenance chain.
+lexicographic name order; the manifest (schema 2) records per-tensor offsets
+and blake2b-64 checksums plus a whole-blob checksum and the parent provenance
+chain.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,47 +34,23 @@ __all__ = [
 ]
 
 STAGES = ("base", "pretrain_source", "pretrain_target", "finetune_source", "composed")
-SCHEMA_VERSION = 1
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
+SCHEMA_VERSION = 2
 
 
 class CorruptionError(RuntimeError):
     """Checkpoint bytes disagree with their manifest checksums."""
 
 
-def _fnv1a64_py(buf: np.ndarray) -> int:
-    h = _FNV_OFFSET
-    for b in buf:
-        h = ((h ^ int(b)) * _FNV_PRIME) & _U64_MASK
-    return h
+def fnv1a64(data: bytes | memoryview | np.ndarray) -> str:
+    """blake2b with an 8-byte digest of the bytes, as 16 hex digits.
 
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _fnv1a64_nb(buf):  # pragma: no cover - exercised via fnv1a64
-        h = np.uint64(_FNV_OFFSET)
-        prime = np.uint64(_FNV_PRIME)
-        for i in range(buf.size):
-            h = (h ^ np.uint64(buf[i])) * prime
-        return h
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAS_NUMBA = False
-
-
-def fnv1a64(data: bytes | np.ndarray) -> str:
-    """64-bit FNV-1a of the bytes, as 16 hex digits."""
-    buf = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray, memoryview)) \
-        else np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-    if _HAS_NUMBA:
-        return f"{int(_fnv1a64_nb(buf)):016x}"
-    return f"{_fnv1a64_py(buf):016x}"
+    Schema 1 checkpoints and indexes used 64-bit FNV-1a here; the name stayed
+    because the benchmark's tracer (bench/tracing.py) wraps this attribute of
+    params and index by name to time every checksum.
+    """
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data)
+    return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 # ---------------------------------------------------------------- partition
@@ -133,8 +111,7 @@ class Checkpoint:
         return self.weights.config
 
     def checksum(self) -> str:
-        blob, _ = _serialize(self.weights)
-        return fnv1a64(blob)
+        return fnv1a64(b"".join(_tensor_bytes(self.weights).values()))
 
     def derive(self, stage: str, parents: list[dict]) -> "Checkpoint":
         """Deep-copied weights under a new stage tag."""
@@ -144,32 +121,20 @@ class Checkpoint:
         return {"stage": self.stage, "checksum": self.checksum()}
 
 
-def _serialize(weights: EncoderWeights) -> tuple[bytes, list[dict]]:
-    """Blob bytes plus per-tensor manifest records, lexicographic name order."""
-    parts: list[bytes] = []
-    records: list[dict] = []
-    offset = 0
+def _tensor_bytes(weights: EncoderWeights) -> dict[str, bytes]:
+    """Each tensor's float32 little-endian row-major bytes, in lexicographic
+    name order: the blob is their concatenation."""
+    out = {}
     for name in sorted(weights.tensors):
         data = weights.tensors[name].data
         if data.dtype != np.float32:
             raise ValueError(f"checkpoints store float32 tensors; {name} is {data.dtype}")
-        raw = np.ascontiguousarray(data, dtype="<f4").tobytes()
-        records.append({
-            "name": name,
-            "shape": list(data.shape),
-            "dtype": "float32",
-            "offset": offset,
-            "nbytes": len(raw),
-            "checksum": fnv1a64(raw),
-        })
-        parts.append(raw)
-        offset += len(raw)
-    return b"".join(parts), records
+        out[name] = np.ascontiguousarray(data, dtype="<f4").tobytes()
+    return out
 
 
 def tensor_checksums(weights: EncoderWeights) -> dict[str, str]:
-    _, records = _serialize(weights)
-    return {r["name"]: r["checksum"] for r in records}
+    return {name: fnv1a64(raw) for name, raw in _tensor_bytes(weights).items()}
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -182,7 +147,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> Path:
     """Write manifest.json + tensors.bin under path (a directory)."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    blob, records = _serialize(ckpt.weights)
+    raws = _tensor_bytes(ckpt.weights)
+    records, offset = [], 0
+    for name, raw in raws.items():
+        records.append({"name": name, "shape": list(ckpt.weights[name].data.shape),
+                        "dtype": "float32", "offset": offset, "nbytes": len(raw),
+                        "checksum": fnv1a64(raw)})
+        offset += len(raw)
+    blob = b"".join(raws.values())
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "stage": ckpt.stage,
@@ -206,7 +178,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise FileNotFoundError(f"{path} is not a checkpoint directory (manifest.json/tensors.bin)")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint schema {manifest.get('schema_version')!r}")
+        raise ValueError(f"{manifest_path}: schema_version {manifest.get('schema_version')!r} is "
+                         f"not {SCHEMA_VERSION}; v1 used FNV-1a checksums, so re-save the "
+                         f"checkpoint by re-running the stage that wrote it")
     config = ModelConfig.from_dict(manifest["config"])
     blob = blob_path.read_bytes()
     expected = parameter_shapes(config)

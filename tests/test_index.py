@@ -1,7 +1,9 @@
 """Index construction, exact retrieval vs brute force, BM25 oracles,
 and serialization round trips."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from spladapt.index import (
     retrieve_bm25, retrieve_sparse, save_index,
 )
 from spladapt.model import ModelConfig, SparseVector, encode_sparse, init_weights, score
+from spladapt.params import fnv1a64
 from spladapt.vocab import Vocabulary, build_vocabulary
 
 
@@ -245,3 +248,134 @@ def test_frequency_round_trip(tmp_path):
     a = retrieve_bm25(index, "cat dog", vocab, cutoff=5).entries
     b = retrieve_bm25(loaded, "cat dog", vocab, cutoff=5).entries
     assert a == b
+
+
+def expected_payloads(doc_lengths, postings):
+    """docstore.bin and postings.bin packed one field at a time with struct,
+    from doc_id -> length and term id -> [(doc position, weight)]."""
+    store = struct.pack("<I", len(doc_lengths))
+    for doc_id in sorted(doc_lengths):
+        raw = doc_id.encode("utf-8")
+        store += struct.pack("<H", len(raw)) + raw + struct.pack("<I", doc_lengths[doc_id])
+    post = struct.pack("<I", len(postings))
+    for tid in sorted(postings):
+        post += struct.pack("<II", tid, len(postings[tid]))
+        for pos, weight in postings[tid]:
+            post += struct.pack("<If", pos, weight)
+    return store, post
+
+
+def assert_saved_bytes(path, store, post):
+    assert (path / "docstore.bin").read_bytes() == store
+    assert (path / "postings.bin").read_bytes() == post
+    meta = json.loads((path / "meta.json").read_text())
+    assert meta["docstore_checksum"] == fnv1a64(store)
+    assert meta["postings_checksum"] == fnv1a64(post)
+
+
+def test_impact_index_bytes_on_disk(tmp_path):
+    # weights that float32 rounds, one that it holds exactly, and a term (7)
+    # with a single posting; doc "é-c" has no terms and a two-byte UTF-8 id
+    reps = {"b": SparseVector({3: 0.1, 7: 2.5, 12: 1e-3}),
+            "a": SparseVector({3: 1.0 / 3.0, 12: 7.25}),
+            "é-c": SparseVector({})}
+    save_index(index_from_vectors(reps), tmp_path / "idx")
+    store, post = expected_payloads(
+        {"a": 2, "b": 3, "é-c": 0},
+        {3: [(0, 1.0 / 3.0), (1, 0.1)], 7: [(1, 2.5)], 12: [(0, 7.25), (1, 1e-3)]})
+    assert_saved_bytes(tmp_path / "idx", store, post)
+
+
+def test_frequency_index_bytes_on_disk(tmp_path):
+    # d2 holds no vocabulary term: it is in the docstore and in no posting list
+    vocab = Vocabulary(["cat", "dog", "owl"])
+    docs = {"d3": "owl cat owl owl", "d1": "cat dog cat", "d2": "zebra yak"}
+    save_index(build_frequency_index(docs, vocab), tmp_path / "fidx")
+    cat, dog, owl = (vocab.id_of(w) for w in ("cat", "dog", "owl"))
+    store, post = expected_payloads(
+        {"d1": 3, "d2": 2, "d3": 4},
+        {cat: [(0, 2.0), (2, 1.0)], dog: [(0, 1.0)], owl: [(2, 3.0)]})
+    assert_saved_bytes(tmp_path / "fidx", store, post)
+
+
+def test_load_fills_posting_arrays_from_the_records(tmp_path):
+    rng = np.random.default_rng(3)
+    reps = {f"d{i:02d}": SparseVector({int(t): float(rng.random() * 3)
+                                       for t in rng.integers(0, 30, size=int(rng.integers(0, 8)))})
+            for i in range(25)}
+    save_index(index_from_vectors(reps), tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
+    assert loaded._arrays is not None  # filled by the load, not by the first query
+    doc_ids, arrays = loaded.posting_arrays()
+    rebuilt = InvertedIndex(kind=loaded.kind, postings=loaded.postings,
+                            doc_lengths=loaded.doc_lengths, avgdl=loaded.avgdl)
+    want_ids, want = rebuilt.posting_arrays()
+    assert doc_ids == want_ids
+    assert arrays.keys() == want.keys()
+    for tid, (pos, w) in want.items():
+        assert arrays[tid][0].dtype == np.int64 and arrays[tid][1].dtype == np.float64
+        np.testing.assert_array_equal(arrays[tid][0], pos)
+        np.testing.assert_array_equal(arrays[tid][1], w)
+
+
+def test_schema_1_index_rejected_with_remedy(tmp_path):
+    save_index(index_from_vectors({"a": SparseVector({1: 1.0})}), tmp_path / "idx")
+    meta_path = tmp_path / "idx" / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["schema_version"] = 1
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as exc:
+        load_index(tmp_path / "idx")
+    msg = str(exc.value)
+    assert str(meta_path) in msg and "schema_version" in msg
+    assert "FNV-1a" in msg and "rebuild the index" in msg
+
+
+def write_postings(path, post):
+    """Replace postings.bin and its checksum, so only the parser can object."""
+    (path / "postings.bin").write_bytes(post)
+    meta = json.loads((path / "meta.json").read_text())
+    meta["postings_checksum"] = fnv1a64(post)
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
+def test_postings_that_overrun_the_file_are_rejected(tmp_path):
+    path = tmp_path / "idx"
+    save_index(index_from_vectors({"a": SparseVector({1: 1.0}),
+                                   "b": SparseVector({1: 2.0, 2: 3.0})}), path)
+    _, good = expected_payloads({"a": 1, "b": 2}, {1: [(0, 1.0), (1, 2.0)], 2: [(1, 3.0)]})
+    assert (path / "postings.bin").read_bytes() == good
+    for post in (
+        good[:-4],                                       # last record cut
+        good[:-12],                                      # last header cut
+        good[:-16] + struct.pack("<II", 2, 5) + good[-8:],  # count of 5, 1 record
+        struct.pack("<I", 3) + good[4:],                 # 3 terms, 2 present
+        good + b"\0" * 8,                                # bytes after the last term
+    ):
+        write_postings(path, post)
+        with pytest.raises(ValueError, match="postings.bin"):
+            load_index(path)
+
+
+def test_postings_naming_a_doc_past_the_docstore_are_rejected(tmp_path):
+    path = tmp_path / "idx"
+    save_index(index_from_vectors({"a": SparseVector({1: 1.0}), "b": SparseVector({2: 3.0})}), path)
+    _, post = expected_payloads({"a": 1, "b": 1}, {1: [(0, 1.0)], 2: [(2, 3.0)]})
+    write_postings(path, post)
+    with pytest.raises(ValueError, match="postings.bin.*doc position past"):
+        load_index(path)
+
+
+def test_malformed_docstore_is_rejected(tmp_path):
+    path = tmp_path / "idx"
+    save_index(index_from_vectors({"a": SparseVector({1: 1.0}), "b": SparseVector({2: 3.0})}), path)
+    good = (path / "docstore.bin").read_bytes()
+    unsorted = struct.pack("<I", 2) + b"".join(struct.pack("<H", 1) + d + struct.pack("<I", 1)
+                                               for d in (b"b", b"a"))
+    for store in (good[:-2], good + b"\0", unsorted):
+        (path / "docstore.bin").write_bytes(store)
+        meta = json.loads((path / "meta.json").read_text())
+        meta["docstore_checksum"] = fnv1a64(store)
+        (path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="docstore.bin"):
+            load_index(path)

@@ -1,6 +1,7 @@
 """Partition law, checkpoint integrity, surgery, and freeze auditing."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from spladapt.model import ModelConfig, init_weights, parameter_shapes
 from spladapt.params import (
     Checkpoint, CorruptionError, FreezeReport, compose, fnv1a64, freeze_verify,
     load_checkpoint, partition_parameters, save_checkpoint, tensor_checksums,
-    _fnv1a64_py,
 )
 
 CFG = ModelConfig(vocab_size=40, n_layers=3, d_model=8, n_heads=2, d_ffn=16,
@@ -22,20 +22,20 @@ def make_ckpt(seed=0, stage="base", cfg=CFG, parents=None):
     return Checkpoint(init_weights(cfg, seed=seed), stage=stage, parents=parents or [])
 
 
-# ---------------------------------------------------------------- fnv1a64
+# ---------------------------------------------------------------- checksum
 
 
-def test_fnv1a64_published_vectors():
-    # reference values for the 64-bit FNV-1a function
-    assert fnv1a64(b"") == "cbf29ce484222325"
-    assert fnv1a64(b"a") == "af63dc4c8601ec8c"
-    assert fnv1a64(b"foobar") == "85944171f73967e8"
+def test_fnv1a64_is_blake2b_64_known_answers():
+    # fnv1a64 kept its name when schema 2 switched it to 8-byte-digest blake2b
+    assert fnv1a64(b"") == "e4a6a0577479b2b4"
+    assert fnv1a64(b"a") == "40f89e395b66422f"
+    assert fnv1a64(b"foobar") == "9d212f7f254a51f9"
 
 
 @given(st.binary(min_size=0, max_size=200))
 @settings(max_examples=50, deadline=None)
-def test_fnv1a64_fast_path_matches_pure_python(data):
-    assert fnv1a64(data) == f"{_fnv1a64_py(np.frombuffer(data, dtype=np.uint8)):016x}"
+def test_fnv1a64_matches_hashlib_blake2b(data):
+    assert fnv1a64(data) == hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
 def test_fnv1a64_accepts_arrays():
@@ -135,6 +135,31 @@ def test_truncated_blob_rejected(tmp_path):
     blob_path.write_bytes(blob_path.read_bytes()[:-8])
     with pytest.raises(CorruptionError):
         load_checkpoint(tmp_path / "ck")
+
+
+def test_schema_1_checkpoint_rejected_with_remedy(tmp_path):
+    import json
+    save_checkpoint(make_ckpt(seed=4), tmp_path / "ck")
+    manifest_path = tmp_path / "ck" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["schema_version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(tmp_path / "ck")
+    msg = str(exc.value)
+    assert str(manifest_path) in msg and "schema_version" in msg
+    assert "FNV-1a" in msg and "re-save the checkpoint" in msg
+
+
+def test_checkpoint_checksum_is_the_blob_checksum(tmp_path):
+    import json
+    ckpt = make_ckpt(seed=5)
+    save_checkpoint(ckpt, tmp_path / "ck")
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert manifest["schema_version"] == 2
+    assert ckpt.checksum() == manifest["blob_checksum"]
+    assert ckpt.checksum() == fnv1a64((tmp_path / "ck" / "tensors.bin").read_bytes())
+    assert tensor_checksums(ckpt.weights) == {r["name"]: r["checksum"] for r in manifest["tensors"]}
 
 
 def test_missing_checkpoint_dir(tmp_path):
