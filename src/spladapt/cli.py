@@ -323,7 +323,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         default_out = workdir / "indexes" / f"{args.domain}_impact_{args.checkpoint}"
     out = Path(args.out) if args.out else default_out
     save_index(index, out)
-    print(f"saved {out} ({index.n_docs} docs, {len(index.postings)} posting lists)")
+    print(f"saved {out} ({index.n_docs} docs, {len(set(index.matrix.indices.tolist()))} posting lists)")
     return 0
 
 

@@ -1,16 +1,21 @@
 """Inverted index, exact top-k sparse retrieval, and BM25.
 
-Two index kinds share one container:
-    impact     postings carry learned sparse representation weights; scoring
+An index is one docs x terms matrix (scipy.sparse CSR, float64), rows in
+ascending doc id order, column t for term id t. Two index kinds share it:
+    impact     entries are learned sparse representation weights; scoring
                is the inner product with a sparse query vector.
-    frequency  postings carry raw term counts; scoring is BM25.
+    frequency  entries are raw term counts. BM25 is the same product of the
+               query's term counts with idf x saturated-tf weights, derived
+               once from the counts, doc lengths and avgdl with the
+               constants k1 = BM25_K1 = 0.9 and b = BM25_B = 0.4.
 
 Ranking everywhere is (score descending, doc id ascending). Top-k is exact:
-every scored document is considered, no approximation.
+every document with a nonzero score is considered, no approximation.
 
 On disk an index is a directory {meta.json, postings.bin, docstore.bin};
-binary payloads are little-endian with doc ids referenced by position in the
-docstore, and meta.json (schema 2) holds their blake2b-64 checksums.
+postings.bin is term-major (term ids, then doc positions, strictly
+ascending), payloads are little-endian with doc ids referenced by position
+in the docstore, and meta.json (schema 2) holds their blake2b-64 checksums.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import EncoderWeights, SparseVector, encode_sparse_batch, sparse_from_dense
 from .params import fnv1a64
@@ -56,52 +63,61 @@ class RankedList:
         return [d for d, _ in self.entries]
 
 
-@dataclass
+@dataclass(eq=False)
 class InvertedIndex:
     kind: str
-    postings: dict[int, list[tuple[str, float]]]  # term id -> [(doc_id, weight)], doc_id ascending
-    doc_lengths: dict[str, int]                   # content token count per doc
+    matrix: sp.csr_array          # docs (ascending doc id) x (max term id + 1), float64
+    doc_lengths: dict[str, int]   # content token count per doc
     avgdl: float
-    # array view of the postings, filled by load_index or built on first
-    # retrieval (derived, not saved)
-    _doc_ids: list[str] | None = field(default=None, repr=False, compare=False)
-    _arrays: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_lengths)
 
+    @cached_property
+    def doc_ids(self) -> list[str]:
+        """Doc id of each matrix row."""
+        return sorted(self.doc_lengths)
+
+    @cached_property
+    def _dfs(self) -> np.ndarray:
+        return np.bincount(self.matrix.indices, minlength=self.matrix.shape[1])
+
     def df(self, term_id: int) -> int:
-        return len(self.postings.get(term_id, ()))
+        return int(self._dfs[term_id]) if term_id < len(self._dfs) else 0
 
-    def posting_arrays(self) -> tuple[list[str], dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Postings as (doc position, weight) arrays over lexicographic doc
-        order, so scoring loops run vectorized. Positions ascend within each
-        term because posting lists are kept doc_id-sorted."""
-        if self._arrays is None:
-            doc_ids = sorted(self.doc_lengths)
-            pos = {d: i for i, d in enumerate(doc_ids)}
-            self._doc_ids = doc_ids
-            self._arrays = {
-                tid: (np.fromiter((pos[d] for d, _ in plist), np.int64, count=len(plist)),
-                      np.fromiter((w for _, w in plist), np.float64, count=len(plist)))
-                for tid, plist in self.postings.items()
-            }
-        return self._doc_ids, self._arrays
+    @cached_property
+    def postings(self) -> dict[int, list[tuple[str, float]]]:
+        """Term id -> [(doc_id, weight)], doc_id ascending: a view derived
+        from the matrix on first read, for inspection; retrieval never reads it."""
+        csc = self.matrix.tocsc()
+        bounds, docs, vals = csc.indptr.tolist(), csc.indices.tolist(), csc.data.tolist()
+        return {tid: [(self.doc_ids[r], v) for r, v in zip(docs[lo:hi], vals[lo:hi])]
+                for tid, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo}
+
+    @cached_property
+    def _bm25(self) -> sp.csr_array:
+        """BM25 weight of every stored count: idf x saturated term frequency."""
+        m = self.matrix
+        idf = np.array([bm25_idf(self.n_docs, df) for df in self._dfs.tolist()])
+        lengths = np.array([self.doc_lengths[d] for d in self.doc_ids], dtype=np.float64)
+        dl, tf = np.repeat(lengths, np.diff(m.indptr)), m.data
+        tf_part = tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl))
+        return sp.csr_array((idf[m.indices] * tf_part, m.indices, m.indptr), shape=m.shape)
 
 
-def _finalize(kind: str, postings: dict[int, list[tuple[str, float]]],
-              doc_lengths: dict[str, int]) -> InvertedIndex:
+def _index(kind: str, rows: dict[str, dict[int, float]], doc_lengths: dict[str, int]) -> InvertedIndex:
+    """Index over doc id -> {term id: value}; doc_lengths names every doc."""
     if not doc_lengths:
         raise ValueError("cannot build an index over an empty corpus")
-    for tid in postings:
-        postings[tid].sort(key=lambda e: e[0])
+    doc_ids = sorted(doc_lengths)
+    indptr = np.cumsum([0] + [len(rows[d]) for d in doc_ids])
+    tids = np.fromiter((t for d in doc_ids for t in rows[d]), np.int64, count=indptr[-1])
+    vals = np.fromiter((v for d in doc_ids for v in rows[d].values()), np.float64, count=indptr[-1])
+    matrix = sp.csr_array((vals, tids, indptr), shape=(len(doc_ids), tids.max(initial=-1) + 1))
+    matrix.sort_indices()
     avgdl = sum(doc_lengths.values()) / len(doc_lengths)
-    return InvertedIndex(kind=kind, postings=dict(postings), doc_lengths=doc_lengths, avgdl=avgdl)
-
-
-def _content_lengths(docs: dict[str, str]) -> dict[str, int]:
-    return {doc_id: len(tokenize(text)) for doc_id, text in docs.items()}
+    return InvertedIndex(kind=kind, matrix=matrix, doc_lengths=dict(doc_lengths), avgdl=avgdl)
 
 
 def encode_corpus(weights: EncoderWeights, docs: dict[str, str], vocab: Vocabulary,
@@ -134,70 +150,59 @@ def build_impact_index(docs: dict[str, str], weights: EncoderWeights,
                        vocab: Vocabulary, batch_size: int = 32) -> InvertedIndex:
     """Index learned representation weights; zero-weight terms never appear."""
     reps = encode_corpus(weights, docs, vocab, batch_size=batch_size)
-    return index_from_vectors(reps, _content_lengths(docs))
+    return index_from_vectors(reps, {d: len(tokenize(text)) for d, text in docs.items()})
 
 
 def index_from_vectors(reps: dict[str, SparseVector],
                        doc_lengths: dict[str, int] | None = None) -> InvertedIndex:
     """Impact index straight from precomputed sparse vectors."""
-    postings: dict[int, list[tuple[str, float]]] = defaultdict(list)
     lengths = doc_lengths if doc_lengths is not None else {d: v.l0() for d, v in reps.items()}
     if set(lengths) != set(reps):
         raise ValueError("doc_lengths and representations name different docs")
-    for doc_id, vec in reps.items():
-        for tid, val in vec.items():
-            postings[tid].append((doc_id, val))
-    return _finalize("impact", postings, dict(lengths))
+    return _index("impact", {d: v.weights for d, v in reps.items()}, lengths)
 
 
 def build_frequency_index(docs: dict[str, str], vocab: Vocabulary) -> InvertedIndex:
     """Index raw term counts over vocabulary terms (unknown terms are dropped:
     they can never match a query through the shared vocabulary)."""
-    postings: dict[int, list[tuple[str, float]]] = defaultdict(list)
+    counts: dict[str, Counter] = {}
     lengths: dict[str, int] = {}
     for doc_id, text in docs.items():
         tokens = tokenize(text)
         lengths[doc_id] = len(tokens)
-        counts = Counter(vocab.id_of(t) for t in tokens)
-        counts.pop(1, None)  # UNK
-        for tid, tf in counts.items():
-            postings[tid].append((doc_id, float(tf)))
-    return _finalize("frequency", postings, lengths)
+        counts[doc_id] = Counter(vocab.id_of(t) for t in tokens)
+        counts[doc_id].pop(1, None)  # UNK
+    return _index("frequency", counts, lengths)
 
 
 # ---------------------------------------------------------------- retrieval
 
 
-def _rank(scores: dict[str, float], query_id: str, cutoff: int) -> RankedList:
+def _top_k(index: InvertedIndex, matrix: sp.csr_array, query: dict[int, float], cutoff: int,
+           query_id: str) -> RankedList:
+    """Exact top-k of one sparse product: each doc scores the inner product
+    of its matrix row with the query (term id -> weight; ids past the last
+    column match nothing). Only nonzero scores rank; ties break by ascending
+    doc id, which is ascending row."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:cutoff]
-    return RankedList(query_id=query_id, entries=[(d, float(s)) for d, s in ordered])
+    tids = np.fromiter(query.keys(), np.int64, count=len(query))
+    q = np.zeros(matrix.shape[1])
+    keep = tids < len(q)
+    q[tids[keep]] = np.fromiter(query.values(), np.float64, count=len(query))[keep]
+    scores = matrix @ q
+    cand = np.flatnonzero(scores)
+    top = cand[np.lexsort((cand, -scores[cand]))[:cutoff]]
+    return RankedList(query_id=query_id,
+                      entries=[(index.doc_ids[i], float(scores[i])) for i in top.tolist()])
 
 
 def retrieve_sparse(index: InvertedIndex, query: SparseVector, cutoff: int,
                     query_id: str = "") -> RankedList:
-    """Exact inner-product top-k via term-at-a-time accumulation.
-
-    Accumulates per-term contributions into a dense score array; only touched
-    docs are candidates (weights are strictly positive, so touched means
-    nonzero). Ties break by ascending doc_id, which is ascending position.
-    """
+    """Exact inner-product top-k over the learned weights."""
     if index.kind != "impact":
         raise ValueError(f"sparse retrieval needs an impact index, got {index.kind!r}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    doc_ids, arrays = index.posting_arrays()
-    scores = np.zeros(len(doc_ids))
-    for tid, qval in query.items():
-        hit = arrays.get(tid)
-        if hit is not None:
-            idx, dvals = hit
-            scores[idx] += qval * dvals
-    cand = np.flatnonzero(scores)
-    order = np.lexsort((cand, -scores[cand]))[:cutoff]
-    return RankedList(query_id=query_id,
-                      entries=[(doc_ids[cand[i]], float(scores[cand[i]])) for i in order])
+    return _top_k(index, index.matrix, query.weights, cutoff, query_id)
 
 
 def bm25_idf(n_docs: int, df: int) -> float:
@@ -206,25 +211,14 @@ def bm25_idf(n_docs: int, df: int) -> float:
 
 
 def retrieve_bm25(index: InvertedIndex, query_text: str, vocab: Vocabulary, cutoff: int,
-                  query_id: str = "", k1: float = BM25_K1, b: float = BM25_B) -> RankedList:
-    """BM25 over a frequency index; repeated query terms weight by their count."""
+                  query_id: str = "") -> RankedList:
+    """BM25 over a frequency index: the query's term counts against the
+    derived BM25 weights, so repeated query terms weight by their count."""
     if index.kind != "frequency":
         raise ValueError(f"bm25 needs a frequency index, got {index.kind!r}")
     qcounts = Counter(vocab.id_of(t) for t in tokenize(query_text))
     qcounts.pop(1, None)  # UNK matches nothing
-    scores: dict[str, float] = defaultdict(float)
-    N = index.n_docs
-    avgdl = index.avgdl
-    for tid, qtf in qcounts.items():
-        plist = index.postings.get(tid)
-        if not plist:
-            continue
-        idf = bm25_idf(N, len(plist))
-        for doc_id, tf in plist:
-            dl = index.doc_lengths[doc_id]
-            tf_part = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-            scores[doc_id] += qtf * idf * tf_part
-    return _rank(scores, query_id, cutoff)
+    return _top_k(index, index._bm25, qcounts, cutoff, query_id)
 
 
 # ---------------------------------------------------------------- serialization
@@ -234,21 +228,20 @@ def save_index(index: InvertedIndex, path: str | Path) -> Path:
     """Directory {meta.json, postings.bin, docstore.bin}; round-trips bit-exactly."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    doc_ids = sorted(index.doc_lengths)
-    doc_pos = {d: i for i, d in enumerate(doc_ids)}
-
-    store = [struct.pack("<I", len(doc_ids))]
-    for d in doc_ids:
+    store = [struct.pack("<I", index.n_docs)]
+    for d in index.doc_ids:
         raw = d.encode("utf-8")
         store += (struct.pack("<H", len(raw)), raw, struct.pack("<I", index.doc_lengths[d]))
 
-    post = [struct.pack("<I", len(index.postings))]
-    for tid in sorted(index.postings):
-        plist = index.postings[tid]
-        recs = np.empty(len(plist), _RECORD)
-        recs["pos"] = [doc_pos[d] for d, _ in plist]
-        recs["w"] = [w for _, w in plist]
-        post += (struct.pack("<II", tid, len(plist)), recs.tobytes())
+    csc = index.matrix.tocsc()  # term-major, doc positions ascending within a term
+    recs = np.empty(csc.nnz, _RECORD)
+    recs["pos"], recs["w"] = csc.indices, csc.data
+    bounds = csc.indptr.tolist()
+    tids = np.flatnonzero(np.diff(csc.indptr)).tolist()
+    post = [struct.pack("<I", len(tids))]
+    for tid in tids:
+        lo, hi = bounds[tid], bounds[tid + 1]
+        post += (struct.pack("<II", tid, hi - lo), recs[lo:hi].tobytes())
 
     payloads = {"postings.bin": b"".join(post), "docstore.bin": b"".join(store)}
     meta = {
@@ -268,8 +261,8 @@ def save_index(index: InvertedIndex, path: str | Path) -> Path:
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read and verify an index directory. The posting_arrays view is filled
-    from the records as they are read, so the first query does not rebuild it."""
+    """Read and verify an index directory, building the matrix straight
+    from the term-major records."""
     path = Path(path)
     meta_path = path / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -297,7 +290,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             off += 6 + ln
     except (struct.error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path / 'docstore.bin'}: malformed: {exc}") from None
-    # positions index the sorted doc ids, as posting_arrays() numbers them
+    # positions index the sorted doc ids, which are the matrix rows
     doc_ids = list(doc_lengths)
     if doc_ids != sorted(doc_ids) or len(doc_ids) != n_docs or off != len(store):
         raise ValueError(f"{path / 'docstore.bin'}: doc ids are not unique and ascending, "
@@ -305,33 +298,33 @@ def load_index(path: str | Path) -> InvertedIndex:
     if n_docs != meta["n_docs"]:
         raise ValueError(f"{path}: docstore holds {n_docs} docs, meta says {meta['n_docs']}")
 
+    post_path = path / "postings.bin"
     try:
         (n_terms,) = struct.unpack_from("<I", post, 0)
         # after the term count: 8-byte cells, each term's (tid, n) header then its n records
         cells = np.frombuffer(post, _RECORD, offset=4)
-        spans, i = [], 0
+        heads, i = [], 0
         for _ in range(n_terms):
-            tid, n = struct.unpack_from("<II", post, 4 + 8 * i)
-            spans.append((tid, i + 1, i + 1 + n))
-            i += 1 + n
+            heads.append(i)
+            i += 1 + struct.unpack_from("<II", post, 4 + 8 * i)[1]
     except (struct.error, ValueError) as exc:  # ValueError: np.frombuffer of a ragged tail
-        raise ValueError(f"{path / 'postings.bin'}: term records overrun the file: {exc}") from None
+        raise ValueError(f"{post_path}: term records overrun the file: {exc}") from None
     if i != len(cells):
-        raise ValueError(f"{path / 'postings.bin'}: {n_terms} terms fill {i} of its "
-                         f"{len(cells)} records")
-    # each term's arrays are slices of one array per field: measured faster to
-    # score than arrays allocated one by one between the posting tuples
-    pos, w = cells["pos"].astype(np.int64), cells["w"].astype(np.float64)
-    pos_list, w_list = pos.tolist(), w.tolist()
-    postings: dict[int, list[tuple[str, float]]] = {}
-    arrays: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    try:
-        for tid, lo, hi in spans:
-            postings[tid] = list(zip(map(doc_ids.__getitem__, pos_list[lo:hi]), w_list[lo:hi]))
-            arrays[tid] = (pos[lo:hi], w[lo:hi])
-    except IndexError:
-        raise ValueError(f"{path / 'postings.bin'}: term {tid} names a doc position past "
-                         f"the {n_docs} docs of docstore.bin") from None
-
-    return InvertedIndex(kind=meta["kind"], postings=postings, doc_lengths=doc_lengths,
-                         avgdl=meta["avgdl"], _doc_ids=doc_ids, _arrays=arrays)
+        raise ValueError(f"{post_path}: {n_terms} terms fill {i} of its {len(cells)} records")
+    heads = np.array(heads, np.int64)
+    is_record = np.ones(len(cells), bool)
+    is_record[heads] = False
+    tids = cells["pos"][heads].astype(np.int64)
+    pos = cells["pos"][is_record].astype(np.int64)
+    term_of = np.repeat(tids, np.diff(heads, append=len(cells)) - 1)  # the term of each record
+    for term, bad, what in (
+            (tids, np.diff(tids, prepend=-1) < 1, "does not ascend from the term before it"),
+            (term_of, (np.diff(term_of, prepend=-1) == 0) & (np.diff(pos, prepend=-1) < 1),
+             "repeats a doc position or lists one out of order"),
+            (term_of, pos >= n_docs, f"names a doc position past the {n_docs} docs of docstore.bin")):
+        if bad.any():
+            raise ValueError(f"{post_path}: term {term[bad.argmax()]} {what}")
+    matrix = sp.csr_array((cells["w"][is_record].astype(np.float64), (pos, term_of)),
+                          shape=(n_docs, tids.max(initial=-1) + 1))
+    return InvertedIndex(kind=meta["kind"], matrix=matrix, doc_lengths=doc_lengths,
+                         avgdl=meta["avgdl"])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -136,11 +137,15 @@ class StageSpec:
 
 
 class _StageLog:
+    """JSON lines, each stamped with wall_s: seconds since the stage started."""
+
     def __init__(self, path: str | Path | None):
         self._fh = open(path, "w", encoding="utf-8") if path else None
+        self._start = time.perf_counter()
 
     def write(self, record: dict) -> None:
         if self._fh:
+            record = {**record, "wall_s": time.perf_counter() - self._start}
             self._fh.write(json.dumps(record) + "\n")
 
     def close(self) -> None:

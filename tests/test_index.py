@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spladapt.index import (
-    BM25_B, BM25_K1, InvertedIndex, bm25_idf, build_frequency_index,
+    BM25_B, BM25_K1, bm25_idf, build_frequency_index,
     build_impact_index, encode_corpus, index_from_vectors, load_index,
     retrieve_bm25, retrieve_sparse, save_index,
 )
@@ -57,7 +57,8 @@ def test_impact_retrieval_matches_score_function():
         "c": SparseVector({2: 1.0}),
     }
     index = index_from_vectors(reps)
-    q = SparseVector({3: 1.0, 1: 1.0})
+    # term 99 is past the last indexed term (3): it matches nothing
+    q = SparseVector({3: 1.0, 1: 1.0, 99: 4.0})
     out = retrieve_sparse(index, q, cutoff=10, query_id="q1")
     assert out.query_id == "q1"
     assert out.entries == [("b", 5.0), ("a", 3.0)]  # c shares no terms: absent
@@ -245,6 +246,9 @@ def test_frequency_round_trip(tmp_path):
     index = build_frequency_index({"d1": "cat dog cat", "d2": "dog"}, vocab)
     save_index(index, tmp_path / "fidx")
     loaded = load_index(tmp_path / "fidx")
+    assert loaded.postings == index.postings
+    assert loaded.doc_lengths == index.doc_lengths
+    assert loaded.avgdl == index.avgdl
     a = retrieve_bm25(index, "cat dog", vocab, cutoff=5).entries
     b = retrieve_bm25(loaded, "cat dog", vocab, cutoff=5).entries
     assert a == b
@@ -298,26 +302,6 @@ def test_frequency_index_bytes_on_disk(tmp_path):
     assert_saved_bytes(tmp_path / "fidx", store, post)
 
 
-def test_load_fills_posting_arrays_from_the_records(tmp_path):
-    rng = np.random.default_rng(3)
-    reps = {f"d{i:02d}": SparseVector({int(t): float(rng.random() * 3)
-                                       for t in rng.integers(0, 30, size=int(rng.integers(0, 8)))})
-            for i in range(25)}
-    save_index(index_from_vectors(reps), tmp_path / "idx")
-    loaded = load_index(tmp_path / "idx")
-    assert loaded._arrays is not None  # filled by the load, not by the first query
-    doc_ids, arrays = loaded.posting_arrays()
-    rebuilt = InvertedIndex(kind=loaded.kind, postings=loaded.postings,
-                            doc_lengths=loaded.doc_lengths, avgdl=loaded.avgdl)
-    want_ids, want = rebuilt.posting_arrays()
-    assert doc_ids == want_ids
-    assert arrays.keys() == want.keys()
-    for tid, (pos, w) in want.items():
-        assert arrays[tid][0].dtype == np.int64 and arrays[tid][1].dtype == np.float64
-        np.testing.assert_array_equal(arrays[tid][0], pos)
-        np.testing.assert_array_equal(arrays[tid][1], w)
-
-
 def test_schema_1_index_rejected_with_remedy(tmp_path):
     save_index(index_from_vectors({"a": SparseVector({1: 1.0})}), tmp_path / "idx")
     meta_path = tmp_path / "idx" / "meta.json"
@@ -345,15 +329,22 @@ def test_postings_that_overrun_the_file_are_rejected(tmp_path):
                                    "b": SparseVector({1: 2.0, 2: 3.0})}), path)
     _, good = expected_payloads({"a": 1, "b": 2}, {1: [(0, 1.0), (1, 2.0)], 2: [(1, 3.0)]})
     assert (path / "postings.bin").read_bytes() == good
-    for post in (
-        good[:-4],                                       # last record cut
-        good[:-12],                                      # last header cut
-        good[:-16] + struct.pack("<II", 2, 5) + good[-8:],  # count of 5, 1 record
-        struct.pack("<I", 3) + good[4:],                 # 3 terms, 2 present
-        good + b"\0" * 8,                                # bytes after the last term
+    term1, term2 = good[4:28], good[28:]
+    for post, message in (
+        (good[:-4], "postings.bin"),                                  # last record cut
+        (good[:-12], "postings.bin"),                                 # last header cut
+        (good[:-16] + struct.pack("<II", 2, 5) + good[-8:], "postings.bin"),  # count of 5, 1 record
+        (struct.pack("<I", 3) + good[4:], "postings.bin"),            # 3 terms, 2 present
+        (good + b"\0" * 8, "postings.bin"),                           # bytes after the last term
+        # out of order: a repeated term used to replace the earlier list, and
+        # a repeated doc position to load as two postings
+        (good[:28] + struct.pack("<II", 1, 1) + good[-8:], "postings.bin: term 1 "),  # term 1 twice
+        (good[:4] + term2 + term1, "postings.bin: term 1 "),           # terms descending
+        (good[:12] + good[20:28] + good[12:20] + term2, "postings.bin: term 1 "),  # positions descending
+        (good[:28] + struct.pack("<II", 2, 2) + good[-8:] * 2, "postings.bin: term 2 "),  # position repeated
     ):
         write_postings(path, post)
-        with pytest.raises(ValueError, match="postings.bin"):
+        with pytest.raises(ValueError, match=message):
             load_index(path)
 
 
