@@ -42,8 +42,6 @@ from .vocab import Vocabulary, build_vocabulary
 
 log = logging.getLogger(__name__)
 
-_PIPELINE_KEYS = ("mode", "seed", "pretrain_steps", "finetune_steps", "batch_size",
-                  "lr", "pretrain_lr", "mask_prob", "lambda_q", "lambda_d")
 _DEFAULT_SWEEP = [0, 1, 2, 4]
 
 
@@ -87,10 +85,9 @@ def load_config(path: str | Path | None) -> CliConfig:
     model = ModelConfig(**model_obj)
 
     pipe_obj = _section(obj, "pipeline")
-    _reject_unknown(pipe_obj, _PIPELINE_KEYS, "pipeline")
+    pipe_keys = (f.name for f in dataclasses.fields(PipelineSpec) if f.name != "model")
+    _reject_unknown(pipe_obj, pipe_keys, "pipeline")
     spec = PipelineSpec(model=model, **pipe_obj)
-    if spec.mode not in MODES:
-        raise ValueError(f"unknown mode {spec.mode!r}; expected one of {MODES}")
 
     data_obj = _section(obj, "data")
     _reject_unknown(data_obj, ("synth", "source_dir", "target_dir"), "data")

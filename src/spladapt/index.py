@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import EncoderWeights, SparseVector, encode_sparse_batch, sparse_from_dense
-from .params import fnv1a64
+from .params import _write_atomic, fnv1a64
 from .vocab import N_SPECIALS, PAD_ID, Vocabulary, tokenize
 
 __all__ = [
@@ -254,9 +254,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> Path:
     }
     payloads["meta.json"] = json.dumps(meta, indent=1).encode("utf-8")
     for name, payload in payloads.items():  # meta.json last, after the payloads it checks
-        tmp = path / (name + ".tmp")
-        tmp.write_bytes(payload)
-        tmp.replace(path / name)
+        _write_atomic(path / name, payload)
     return path
 
 

@@ -1,8 +1,8 @@
-"""Adam with per-tensor freeze masks.
+"""Adam over a name-keyed dict of tensors.
 
-Frozen tensors are skipped entirely: their values and their first/second
-moment buffers stay bit-identical across steps. Freezing only controls the
-update; gradients still flow through frozen tensors during backward.
+State holds first and second moments for exactly the tensors it was built
+for; each step updates every tensor of the dict it is given, in sorted name
+order.
 """
 
 from __future__ import annotations
@@ -37,22 +37,17 @@ class AdamState:
 
 
 def adam_step(weights: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, frozen: frozenset[str] = frozenset()) -> None:
-    """One in-place update of every non-frozen tensor; increments state.t.
+              state: AdamState) -> None:
+    """One in-place update of every tensor in weights; increments state.t.
 
     A grad entry of None (tensor did not participate in the loss) counts as a
-    zero gradient. Frozen names must be a subset of the weight names.
+    zero gradient.
     """
-    unknown = set(frozen) - weights.keys()
-    if unknown:
-        raise KeyError(f"frozen names not present in weights: {sorted(unknown)}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name in sorted(weights):
-        if name in frozen:
-            continue
         w = weights[name]
         g = grads.get(name)
         if g is None:

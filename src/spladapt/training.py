@@ -10,6 +10,11 @@ Stage semantics:
     composed
         no training: target-domain subset grafted onto source-task subset.
 
+A stage trains one subset and freezes the other: _train_stage turns
+requires_grad off on the frozen subset for the stage, so backward computes
+no gradient for it and Adam updates, and keeps moments for, the trained
+subset only.
+
 Each stage owns a single seeded generator; with fixed seeds and inputs the
 resulting checkpoints are bit-reproducible on one numpy/BLAS build at one
 BLAS thread count. Across thread counts, matrix products sum in a different
@@ -24,14 +29,14 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor
 from .data import TrainTriple
-from .model import ModelConfig, encode_sparse_batch, init_weights, mlm_logits
+from .model import EncoderWeights, ModelConfig, encode_sparse_batch, init_weights, mlm_logits
 from .optim import AdamState, adam_step
 from .params import Checkpoint, compose, partition_parameters, save_checkpoint
 from .vocab import MASK_ID, N_SPECIALS, PAD_ID, Vocabulary
@@ -74,16 +79,14 @@ def mask_tokens(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
     if n_sel:
         roll = rng.random(n_sel)
         random_ids = rng.integers(N_SPECIALS, vocab_size, size=n_sel)
+        act = np.full(n_sel, MASK_ACTIONS["keep"], dtype=np.int8)
+        act[roll < _MASK_SPLIT[0] + _MASK_SPLIT[1]] = MASK_ACTIONS["random"]
+        act[roll < _MASK_SPLIT[0]] = MASK_ACTIONS["mask"]
         sel_idx = np.flatnonzero(selected)
-        for j, pos in enumerate(sel_idx):
-            if roll[j] < _MASK_SPLIT[0]:
-                input_ids[pos] = MASK_ID
-                actions[pos] = MASK_ACTIONS["mask"]
-            elif roll[j] < _MASK_SPLIT[0] + _MASK_SPLIT[1]:
-                input_ids[pos] = random_ids[j]
-                actions[pos] = MASK_ACTIONS["random"]
-            else:
-                actions[pos] = MASK_ACTIONS["keep"]
+        to_random = act == MASK_ACTIONS["random"]
+        input_ids[sel_idx[act == MASK_ACTIONS["mask"]]] = MASK_ID
+        input_ids[sel_idx[to_random]] = random_ids[to_random]
+        actions[sel_idx] = act
     return input_ids, labels, actions
 
 
@@ -185,7 +188,6 @@ def pretrain_mlm(base: Checkpoint, docs: Sequence[str], vocab: Vocabulary,
     cfg = base.config
     if len(vocab) != cfg.vocab_size:
         raise ValueError(f"vocabulary size {len(vocab)} != model vocab_size {cfg.vocab_size}")
-    part = partition_parameters(cfg)
     weights = base.weights.copy()
     cache = [vocab.encode(text, cfg.max_seq_len) for text in docs]
     if not any((seq >= N_SPECIALS).any() for seq in cache):
@@ -193,25 +195,15 @@ def pretrain_mlm(base: Checkpoint, docs: Sequence[str], vocab: Vocabulary,
     if spec.steps > 0:
         bias = weights["mlm.bias"].data
         bias[:] = _unigram_log_prior(cache, cfg.vocab_size).astype(bias.dtype)
-    rng = np.random.default_rng(spec.seed)
-    state = AdamState.for_weights(weights.tensors, lr=spec.lr)
-    stage_log = _StageLog(log_path)
-    try:
-        for step in range(spec.steps):
-            batch = _sample_supervised_batch(cache, rng, cfg.vocab_size, spec)
-            with GradTape() as tape:
-                logits = mlm_logits(weights, batch.input_ids)
-                loss = ad.softmax_cross_entropy(logits, batch.labels.reshape(-1))
-                tape.backward(loss)
-            grads = {n: t.grad for n, t in weights.tensors.items()}
-            adam_step(weights.tensors, grads, state, frozen=part.task_names)
-            weights.zero_grad()
-            stage_log.write({"step": step, "stage": spec.stage, "loss": float(loss.data)})
-            if step % 100 == 0:
-                log.info("%s step %d loss %.4f", spec.stage, step, float(loss.data))
-    finally:
-        stage_log.close()
-    return Checkpoint(weights, stage=spec.stage, parents=[base.parent_ref()])
+
+    def step_loss(rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
+        batch = _sample_supervised_batch(cache, rng, cfg.vocab_size, spec)
+        logits = mlm_logits(weights, batch.input_ids)
+        loss = ad.softmax_cross_entropy(logits, batch.labels.reshape(-1))
+        return loss, {"loss": float(loss.data)}
+
+    return _train_stage(base, weights, partition_parameters(cfg).domain_names, spec,
+                        step_loss, log_path)
 
 
 def _sample_supervised_batch(cache: list[np.ndarray], rng: np.random.Generator,
@@ -276,46 +268,70 @@ def finetune_ir(pretrained: Checkpoint, triples: Sequence[TrainTriple], docs: di
     cfg = pretrained.config
     if len(vocab) != cfg.vocab_size:
         raise ValueError(f"vocabulary size {len(vocab)} != model vocab_size {cfg.vocab_size}")
-    part = partition_parameters(cfg)
     weights = pretrained.weights.copy()
     doc_cache = {d: vocab.encode(text, cfg.max_seq_len) for d, text in docs.items()}
     query_cache = [vocab.encode(t.query, cfg.max_seq_len) for t in triples]
     for i, seq in enumerate(query_cache):
         if not (seq >= N_SPECIALS).any():
             raise ValueError(f"triple {i} has a query with no content tokens: {triples[i].query!r}")
+    B = spec.batch_size
+
+    def step_loss(rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
+        idx = rng.integers(0, len(triples), size=B)
+        seqs = [query_cache[i] for i in idx]
+        seqs += [doc_cache[triples[i].pos_doc_id] for i in idx]
+        seqs += [doc_cache[triples[i].neg_doc_id] for i in idx]
+        ids = np.full((3 * B, max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
+        for r, s in enumerate(seqs):
+            ids[r, : len(s)] = s
+        reps = encode_sparse_batch(weights, ids)
+        loss, parts = ranking_loss(
+            ad.slice_rows(reps, 0, B),
+            ad.slice_rows(reps, B, 2 * B),
+            ad.slice_rows(reps, 2 * B, 3 * B),
+            lambda_q=spec.lambda_q, lambda_d=spec.lambda_d,
+        )
+        return loss, {"loss": parts["total"], "flops_term": parts["flops_term"]}
+
+    return _train_stage(pretrained, weights, partition_parameters(cfg).task_names, spec,
+                        step_loss, log_path)
+
+
+def _train_stage(parent: Checkpoint, weights: EncoderWeights, trainable: frozenset[str],
+                 spec: StageSpec, step_loss: Callable[[np.random.Generator], tuple[Tensor, dict]],
+                 log_path: str | Path | None) -> Checkpoint:
+    """Run spec.steps Adam steps on the trainable tensors of weights, a
+    private copy of parent's weights, and return them as the stage's
+    checkpoint.
+
+    Every other tensor has requires_grad off for the stage, so the tape
+    records no op that reads only frozen tensors and backward computes no
+    gradient for them; Adam keeps moments for the trainable tensors only.
+    step_loss draws the step's batch from the stage generator and runs the
+    forward pass; it returns the loss and the log fields of the step.
+    """
+    train = {n: t for n, t in weights.tensors.items() if n in trainable}
+    frozen = [t for n, t in weights.tensors.items() if n not in trainable]
     rng = np.random.default_rng(spec.seed)
-    state = AdamState.for_weights(weights.tensors, lr=spec.lr)
+    state = AdamState.for_weights(train, lr=spec.lr)
     stage_log = _StageLog(log_path)
     try:
+        for t in frozen:
+            t.requires_grad = False
         for step in range(spec.steps):
-            idx = rng.integers(0, len(triples), size=spec.batch_size)
-            seqs = [query_cache[i] for i in idx]
-            seqs += [doc_cache[triples[i].pos_doc_id] for i in idx]
-            seqs += [doc_cache[triples[i].neg_doc_id] for i in idx]
-            B = spec.batch_size
-            S = max(len(s) for s in seqs)
-            ids = np.full((3 * B, S), PAD_ID, dtype=np.int64)
-            for r, s in enumerate(seqs):
-                ids[r, : len(s)] = s
             with GradTape() as tape:
-                reps = encode_sparse_batch(weights, ids)
-                loss, parts = ranking_loss(
-                    ad.slice_rows(reps, 0, B),
-                    ad.slice_rows(reps, B, 2 * B),
-                    ad.slice_rows(reps, 2 * B, 3 * B),
-                    lambda_q=spec.lambda_q, lambda_d=spec.lambda_d,
-                )
+                loss, fields = step_loss(rng)
                 tape.backward(loss)
-            grads = {n: t.grad for n, t in weights.tensors.items()}
-            adam_step(weights.tensors, grads, state, frozen=part.domain_names)
+            adam_step(train, {n: t.grad for n, t in train.items()}, state)
             weights.zero_grad()
-            stage_log.write({"step": step, "stage": spec.stage,
-                             "loss": parts["total"], "flops_term": parts["flops_term"]})
+            stage_log.write({"step": step, "stage": spec.stage, **fields})
             if step % 100 == 0:
-                log.info("%s step %d loss %.4f", spec.stage, step, parts["total"])
+                log.info("%s step %d loss %.4f", spec.stage, step, fields["loss"])
     finally:
+        for t in frozen:
+            t.requires_grad = True
         stage_log.close()
-    return Checkpoint(weights, stage=spec.stage, parents=[pretrained.parent_ref()])
+    return Checkpoint(weights, stage=spec.stage, parents=[parent.parent_ref()])
 
 
 # ---------------------------------------------------------------- pipeline
@@ -332,7 +348,6 @@ class PipelineSpec:
     finetune_steps: int = 1000
     batch_size: int = 16
     lr: float = 1e-3
-    pretrain_lr: float | None = None   # None: use lr for pretraining too
     mask_prob: float = 0.15
     lambda_q: float = 1e-3
     lambda_d: float = 1e-4
@@ -344,9 +359,8 @@ class PipelineSpec:
     def pretrain_stage(self, stage: str) -> StageSpec:
         # stage seeds are derived from the experiment seed with fixed offsets
         offset = 1 if stage == "pretrain_source" else 2
-        lr = self.lr if self.pretrain_lr is None else self.pretrain_lr
         return StageSpec(stage=stage, steps=self.pretrain_steps, batch_size=self.batch_size,
-                         seed=self.seed + offset, lr=lr, mask_prob=self.mask_prob)
+                         seed=self.seed + offset, lr=self.lr, mask_prob=self.mask_prob)
 
     def finetune_stage(self) -> StageSpec:
         return StageSpec(stage="finetune_source", steps=self.finetune_steps,

@@ -54,9 +54,10 @@ class TestConfig:
 
     def test_unknown_pipeline_key(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text('{"pipeline": {"stepz": 1}}')
-        with pytest.raises(ValueError, match="stepz"):
-            load_config(path)
+        for key in ("stepz", "pretrain_lr"):
+            path.write_text(f'{{"pipeline": {{"{key}": 1}}}}')
+            with pytest.raises(ValueError, match=key):
+                load_config(path)
 
     def test_unknown_synth_key(self, tmp_path):
         path = tmp_path / "c.json"

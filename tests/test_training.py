@@ -10,7 +10,7 @@ import pytest
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
 from spladapt.data import TrainTriple
-from spladapt.model import ModelConfig, init_weights
+from spladapt.model import ModelConfig, encode_sparse_batch, init_weights, mlm_logits
 from spladapt.params import (
     Checkpoint, freeze_verify, partition_parameters, tensor_checksums,
 )
@@ -330,6 +330,70 @@ def test_finetune_loss_and_log(tmp_path):
     assert all(r["stage"] == "finetune_source" for r in records)
     walls = [r["wall_s"] for r in records]
     assert walls[0] >= 0.0 and walls == sorted(walls)
+
+
+def _grads_with_frozen(weights, frozen, forward):
+    """Every tensor's gradient after one backward of forward(weights) with
+    requires_grad off on the frozen names, and the number of recorded ops."""
+    for name in frozen:
+        weights[name].requires_grad = False
+    try:
+        with GradTape() as tape:
+            loss = forward(weights)
+            n_ops = len(tape)
+            tape.backward(loss)
+    finally:
+        for name in frozen:
+            weights[name].requires_grad = True
+    grads = {n: t.grad for n, t in weights.tensors.items()}
+    weights.zero_grad()
+    return grads, n_ops
+
+
+def test_freeze_changes_no_trained_gradient():
+    # the stage loop freezes through requires_grad; the trained subset's
+    # gradients must be bit-equal to those of a backward through everything
+    vocab = make_vocab()
+    part = partition_parameters(CFG)
+    seqs = [vocab.encode(text, CFG.max_seq_len) for text in list(DOCS.values())[:6]]
+    mlm = build_mlm_batch(seqs, np.random.default_rng(0), CFG.vocab_size, mask_prob=0.5)
+    ids = build_mlm_batch(seqs, np.random.default_rng(0), CFG.vocab_size, mask_prob=0.0).input_ids
+
+    def mlm_loss(w):
+        return ad.softmax_cross_entropy(mlm_logits(w, mlm.input_ids), mlm.labels.reshape(-1))
+
+    def contrastive_loss(w):
+        reps = encode_sparse_batch(w, ids)
+        q, pos, neg = (ad.slice_rows(reps, i, i + 2) for i in (0, 2, 4))
+        return ranking_loss(q, pos, neg, lambda_q=1e-3, lambda_d=1e-4)[0]
+
+    weights = init_weights(CFG, seed=7)
+    for forward, frozen in ((mlm_loss, part.task_names), (contrastive_loss, part.domain_names)):
+        full, full_ops = _grads_with_frozen(weights, frozenset(), forward)
+        grads, n_ops = _grads_with_frozen(weights, frozen, forward)
+        for name in weights.names():
+            if name in frozen:
+                assert grads[name] is None, name
+            else:
+                assert grads[name].tobytes() == full[name].tobytes(), name
+        assert n_ops <= full_ops
+    # fine-tuning records nothing below layer k: the embeddings are frozen
+    assert n_ops < full_ops
+
+
+def test_stages_return_trainable_weights_and_leave_input_unchanged():
+    vocab = make_vocab()
+    base = base_ckpt(seed=8)
+    base_sums = tensor_checksums(base.weights)
+    pre = pretrain_mlm(base, list(DOCS.values()), vocab,
+                       StageSpec(stage="pretrain_source", steps=2, batch_size=4, seed=8))
+    pre_sums = tensor_checksums(pre.weights)
+    ft = finetune_ir(pre, make_triples(), DOCS, vocab,
+                     StageSpec(stage="finetune_source", steps=2, batch_size=4, seed=8))
+    assert tensor_checksums(base.weights) == base_sums
+    assert tensor_checksums(pre.weights) == pre_sums
+    for ckpt in (base, pre, ft):
+        assert all(t.requires_grad and t.grad is None for t in ckpt.weights.tensors.values()), ckpt.stage
 
 
 # ---------------------------------------------------------------- pipeline
