@@ -7,6 +7,10 @@ participating tensor that requires grad, and clears the tape. Forward
 calls outside any active tape record nothing, so pure inference is
 reentrant. Training runs in float32; pass float64 arrays for
 gradient-check work (ops keep the input dtype).
+
+splade_pool fuses the whole SPLADE head. It computes the pooling argmax only
+while a tape records it (training), and its backward builds the logit
+gradient as a sparse matrix with one entry per (sequence, term).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import erf
 
 __all__ = [
@@ -33,13 +38,12 @@ __all__ = [
     "concat_cols",
     "slice_rows",
     "gather_rows",
-    "amax_axis",
     "sum_axis",
     "sum_all",
     "softmax",
     "layer_norm",
     "gelu",
-    "log1p_relu",
+    "splade_pool",
     "softmax_cross_entropy",
     "numeric_gradient",
     "IGNORE_INDEX",
@@ -366,24 +370,6 @@ def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     return out
 
 
-def amax_axis(x: Tensor, axis: int) -> Tensor:
-    """Max over one axis; gradient routes to the first maximal element (ties broken
-    by lowest index, deterministic)."""
-    idx = np.argmax(x.data, axis=axis)
-    out = Tensor(np.take_along_axis(x.data, np.expand_dims(idx, axis), axis).squeeze(axis))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-        _accum(x, gx)
-
-    _record((x,), out, backward)
-    return out
-
-
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     out = Tensor(x.data.sum(axis=axis))
 
@@ -479,18 +465,47 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def log1p_relu(x: Tensor) -> Tensor:
-    """log(1 + relu(x)); subgradient 0 at x = 0."""
-    pos = x.data > 0
-    out = Tensor(np.log1p(np.where(pos, x.data, 0)))
+def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Tensor:
+    """The SPLADE head: h (B*S, d) hidden states, emb (V, d) tied token
+    embeddings, bias (V,), content bool (B, S) -> (B, V) with
+
+        out[b, v] = log(1 + relu(max over content s of h[b*S + s] . emb[v] + bias[v])).
+
+    The gradient of the max goes to the first maximal content position. The
+    (B*S, V) logits are not kept; a row without content pools to 0.
+    """
+    B, S = content.shape
+    V = emb.shape[0]
+    if B * S != h.shape[0] or emb.shape[1] != h.shape[1] or bias.shape != (V,):
+        raise ValueError(f"splade_pool: hidden {h.shape}, embeddings {emb.shape}, "
+                         f"bias {bias.shape} and content {content.shape} do not fit")
+    logits = h.data @ emb.data.T
+    logits += bias.data
+    logits = logits.reshape(B, S, V)
+    logits[~content] = -np.inf
+    m = logits.max(axis=1)
+    pos = m > 0
+    relu = np.where(pos, m, 0)
+    out = Tensor(np.log1p(relu))
 
     def backward():
         g = out.grad
         if g is None:
             return
-        _accum(x, np.where(pos, g / (1.0 + np.where(pos, x.data, 0)), 0))
+        dm = np.where(pos, g / (1 + relu), 0)
+        # d logits, transposed: row v holds the B entries (rows[b, v], dm[b, v])
+        dlt = sp.csr_array((dm.T.ravel(), rows.T.ravel(), np.arange(0, B * V + 1, B)),
+                           shape=(V, B * S))
+        if h.requires_grad:
+            _accum(h, dlt.T @ emb.data)
+        if emb.requires_grad:
+            _accum(emb, dlt @ h.data)
+        if bias.requires_grad:
+            _accum(bias, dm.sum(axis=0))
 
-    _record((x,), out, backward)
+    _record((h, emb, bias), out, backward)
+    if out.requires_grad:  # recorded: backward needs the flat row of each max
+        rows = (logits == m[:, None, :]).argmax(axis=1) + (np.arange(B) * S)[:, None]
     return out
 
 

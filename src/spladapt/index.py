@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import EncoderWeights, SparseVector, encode_sparse_batch, sparse_from_dense
-from .params import _write_atomic, fnv1a64
+from .params import _read_json, _require, _write_atomic, fnv1a64
 from .vocab import N_SPECIALS, PAD_ID, Vocabulary, tokenize
 
 __all__ = [
@@ -263,13 +263,15 @@ def load_index(path: str | Path) -> InvertedIndex:
     from the term-major records."""
     path = Path(path)
     meta_path = path / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = _read_json(meta_path)
     if meta.get("schema_version") != _META_SCHEMA:
         raise ValueError(f"{meta_path}: schema_version {meta.get('schema_version')!r} is not "
                          f"{_META_SCHEMA}; v1 used FNV-1a checksums, so rebuild the index "
                          f"(spladapt index)")
+    _require(meta, ("kind", "n_docs", "avgdl", "postings_checksum", "docstore_checksum"),
+             str(meta_path))
     if meta["kind"] not in INDEX_KINDS:
-        raise ValueError(f"unknown index kind {meta['kind']!r}")
+        raise ValueError(f"{meta_path}: unknown index kind {meta['kind']!r} in field 'kind'")
     store = (path / "docstore.bin").read_bytes()
     post = (path / "postings.bin").read_bytes()
     if fnv1a64(store) != meta["docstore_checksum"]:

@@ -3,12 +3,15 @@ sparse document/query representations derived from it.
 
 A representation weight for vocabulary term j is
     w_j = log(1 + relu(max_i logit_ij))
-with the max over non-special positions i. log1p(relu(.)) is nondecreasing,
-so it is applied after pooling; the result is identical to pooling the
-transformed logits and saves a [S, V] intermediate.
+with the max over non-special positions i. The whole head (tied projection,
+masked max-pool, log1p-relu) is one autodiff op, ad.splade_pool. It pools
+before log1p(relu(.)), which is nondecreasing, so the result is identical
+to pooling the transformed logits; it computes the pooling argmax only while
+a tape records, i.e. while training.
 
 The MLM output projection is tied to the token embedding matrix and is never
-materialized; only its bias ("mlm.bias") is a separate parameter.
+materialized; only its bias ("mlm.bias") is a separate parameter. MLM
+training projects only the supervised positions.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .vocab import N_SPECIALS, PAD_ID
 __all__ = [
     "ModelConfig", "EncoderWeights", "SparseVector",
     "parameter_shapes", "init_weights",
-    "forward_mlm", "mlm_logits", "encode_sparse", "encode_sparse_batch",
-    "sparse_from_dense", "score",
+    "mlm_logits", "encode_sparse_batch", "sparse_from_dense",
     "LN_EPS",
 ]
 
@@ -200,19 +202,12 @@ def _encoder_hidden(w: EncoderWeights, ids: np.ndarray) -> Tensor:
     return h
 
 
-def mlm_logits(w: EncoderWeights, ids: np.ndarray) -> Tensor:
-    """ids (B, S) -> logits (B*S, V) through the tied output projection."""
+def mlm_logits(w: EncoderWeights, ids: np.ndarray, rows: np.ndarray) -> Tensor:
+    """ids (B, S) -> logits (len(rows), V) through the tied output projection,
+    at the flat positions rows (indices into B*S), in that order."""
     _validate_ids(w.config, ids)
-    h = _encoder_hidden(w, ids)
+    h = ad.gather_rows(_encoder_hidden(w, ids), rows)
     return ad.add(ad.matmul(h, ad.transpose2d(w["emb.token"])), w["mlm.bias"])
-
-
-def forward_mlm(w: EncoderWeights, ids: np.ndarray) -> Tensor:
-    """Single sequence (S,) -> logits (S, V)."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValueError(f"forward_mlm expects a 1-D id sequence, got shape {ids.shape}")
-    return mlm_logits(w, ids[None, :])
 
 
 class SparseVector:
@@ -242,40 +237,19 @@ class SparseVector:
         return self.weights.items()
 
 
-def score(query: SparseVector, doc: SparseVector) -> float:
-    """Inner product over shared terms."""
-    q, d = query.weights, doc.weights
-    if len(d) < len(q):
-        q, d = d, q
-    return sum(val * d[tid] for tid, val in q.items() if tid in d)
-
-
 def encode_sparse_batch(w: EncoderWeights, ids: np.ndarray) -> Tensor:
     """ids (B, S) -> dense representations (B, V): per-term max of MLM logits
     over non-special positions, then log1p(relu(.)). Differentiable; run it
     under a tape during training."""
     _validate_ids(w.config, ids)
-    B, S = ids.shape
     content = ids >= N_SPECIALS
     if not content.any(axis=1).all():
         bad = int(np.flatnonzero(~content.any(axis=1))[0])
         raise ValueError(f"sequence {bad} has no content terms to pool over")
-    logits = ad.reshape(mlm_logits(w, ids), (B, S, w.config.vocab_size))
-    dt = logits.data.dtype
-    pool_mask = np.where(content, dt.type(0.0), dt.type(-np.inf))[:, :, None]
-    return ad.log1p_relu(ad.amax_axis(ad.add_const(logits, pool_mask), axis=1))
+    return ad.splade_pool(_encoder_hidden(w, ids), w["emb.token"], w["mlm.bias"], content)
 
 
 def sparse_from_dense(row: np.ndarray) -> SparseVector:
     """Keep strictly positive entries of a dense (V,) representation."""
     ids = np.flatnonzero(row > 0)
     return SparseVector({int(tid): float(row[tid]) for tid in ids})
-
-
-def encode_sparse(w: EncoderWeights, ids: np.ndarray) -> SparseVector:
-    """Single sequence (S,) -> SparseVector."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValueError(f"encode_sparse expects a 1-D id sequence, got shape {ids.shape}")
-    dense = encode_sparse_batch(w, ids[None, :])
-    return sparse_from_dense(dense.data[0])

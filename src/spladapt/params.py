@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -137,6 +138,27 @@ def tensor_checksums(weights: EncoderWeights) -> dict[str, str]:
     return {name: fnv1a64(raw) for name, raw in _tensor_bytes(weights).items()}
 
 
+def _read_json(path: Path) -> dict:
+    """The JSON object stored in path; anything else raises ValueError naming
+    the file."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    _require(obj, (), str(path))
+    return obj
+
+
+def _require(obj, fields: tuple[str, ...], where: str) -> None:
+    """Raise ValueError naming where and the field unless obj is a JSON
+    object holding every one of fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for name in fields:
+        if name not in obj:
+            raise ValueError(f"{where}: missing field {name!r}")
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
@@ -176,30 +198,44 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     blob_path = path / "tensors.bin"
     if not manifest_path.is_file() or not blob_path.is_file():
         raise FileNotFoundError(f"{path} is not a checkpoint directory (manifest.json/tensors.bin)")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = _read_json(manifest_path)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{manifest_path}: schema_version {manifest.get('schema_version')!r} is "
                          f"not {SCHEMA_VERSION}; v1 used FNV-1a checksums, so re-save the "
                          f"checkpoint by re-running the stage that wrote it")
-    config = ModelConfig.from_dict(manifest["config"])
+    _require(manifest, ("stage", "config", "tensors", "blob_checksum"), str(manifest_path))
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: field 'config': {exc}") from None
     blob = blob_path.read_bytes()
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
-    for rec in manifest["tensors"]:
+    for i, rec in enumerate(manifest["tensors"]):
+        _require(rec, ("name", "shape", "offset", "nbytes", "checksum"),
+                 f"{manifest_path}: tensors[{i}]")
         name = rec["name"]
         if name not in expected:
             raise ValueError(f"{path}: manifest names unknown tensor {name!r}")
+        shape = list(expected[name])
+        if rec["shape"] != shape or rec["nbytes"] != 4 * math.prod(shape):
+            raise ValueError(f"{manifest_path}: tensor {name} field 'shape' {rec['shape']} / "
+                             f"'nbytes' {rec['nbytes']}; the config needs {shape} in "
+                             f"{4 * math.prod(shape)} bytes")
         raw = blob[rec["offset"]: rec["offset"] + rec["nbytes"]]
         if len(raw) != rec["nbytes"]:
             raise CorruptionError(f"{path}: tensor {name} extends past the end of tensors.bin")
         if fnv1a64(raw) != rec["checksum"]:
             raise CorruptionError(f"{path}: tensor {name} bytes do not match manifest checksum")
-        data = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).copy()
+        data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         tensors[name] = Tensor(data, requires_grad=True)
     if fnv1a64(blob) != manifest["blob_checksum"]:
         raise CorruptionError(f"{path}: tensors.bin does not match its manifest blob checksum")
-    weights = EncoderWeights(config, tensors)  # validates completeness + shapes
-    return Checkpoint(weights, stage=manifest["stage"], parents=manifest.get("parents", []))
+    try:  # validates completeness and the stage tag
+        return Checkpoint(EncoderWeights(config, tensors), stage=manifest["stage"],
+                          parents=manifest.get("parents", []))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- surgery

@@ -198,8 +198,9 @@ def pretrain_mlm(base: Checkpoint, docs: Sequence[str], vocab: Vocabulary,
 
     def step_loss(rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
         batch = _sample_supervised_batch(cache, rng, cfg.vocab_size, spec)
-        logits = mlm_logits(weights, batch.input_ids)
-        loss = ad.softmax_cross_entropy(logits, batch.labels.reshape(-1))
+        labels = batch.labels.reshape(-1)
+        rows = np.flatnonzero(labels != ad.IGNORE_INDEX)
+        loss = ad.softmax_cross_entropy(mlm_logits(weights, batch.input_ids, rows), labels[rows])
         return loss, {"loss": float(loss.data)}
 
     return _train_stage(base, weights, partition_parameters(cfg).domain_names, spec,

@@ -95,10 +95,18 @@ def test_cross_entropy_target_out_of_range():
         ad.softmax_cross_entropy(t64(np.zeros((1, 4))), np.array([4]))
 
 
-def test_log1p_relu_values():
-    x = t64([[-2.0, 0.0, 3.0]])
-    out = ad.log1p_relu(x)
+def test_splade_pool_values():
+    # identity embeddings: logits are h + bias; per column, the max over the
+    # content rows (the last row is masked out), then log(1 + relu(.))
+    h = t64([[-2.0, 0.0, 1.0], [-3.0, -1.0, 3.0], [9.0, 9.0, 9.0]])
+    bias = t64([0.0, 0.0, 0.0])
+    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.array([[True, True, False]]))
     np.testing.assert_allclose(out.data, [[0.0, 0.0, math.log(4.0)]], atol=1e-12)
+    bias.data[:] = [1.5, -0.5, 0.0]
+    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.array([[True, True, False]]))
+    np.testing.assert_allclose(out.data, [[0.0, 0.0, math.log(4.0)]], atol=1e-12)
+    with pytest.raises(ValueError):
+        ad.splade_pool(h, t64(np.eye(3)), bias, np.ones((2, 2), dtype=bool))
 
 
 def test_gelu_values():
@@ -115,12 +123,26 @@ def test_softmax_rows_normalize():
     assert (out.data >= 0).all()
 
 
-def test_amax_first_max_wins_on_tie():
-    x = t64([[1.0, 1.0, 0.5]])
+def test_splade_pool_first_max_wins_on_tie():
+    # rows 0 and 1 tie at the max; the gradient goes to row 0 only
+    h = t64([[1.0], [1.0], [0.5]])
     with GradTape() as tape:
-        out = ad.amax_axis(x, axis=1)
+        out = ad.splade_pool(h, t64([[1.0]], req=False), t64([0.0], req=False),
+                             np.ones((1, 3), dtype=bool))
         tape.backward(ad.sum_all(out))
-    np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(h.grad, [[0.5], [0.0], [0.0]])
+
+
+def test_splade_pool_records_only_under_a_tape():
+    # outside a tape, or with no input requiring grad, nothing is recorded
+    rng = np.random.default_rng(26)
+    h, emb, bias = rand64(rng, 6, 3), rand64(rng, 5, 3), rand64(rng, 5)
+    content = np.ones((2, 3), dtype=bool)
+    assert not ad.splade_pool(h, emb, bias, content).requires_grad
+    frozen = [Tensor(x.data) for x in (h, emb, bias)]
+    with GradTape() as tape:
+        out = ad.splade_pool(*frozen, content)
+        assert len(tape) == 0 and not out.requires_grad
 
 
 def test_gather_rows_out_of_range():
@@ -264,10 +286,16 @@ def test_grad_gather_rows_repeated_ids():
 
 
 def test_grad_amax():
+    # the max-pool inside ad.splade_pool, over a masked sequence axis
     rng = np.random.default_rng(19)
-    x = rand64(rng, 3, 6, 4)  # random floats: no ties
-    r = rng.standard_normal((3, 4))
-    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.amax_axis(x, 1), Tensor(r))), [x])
+    h, emb, bias = rand64(rng, 3 * 6, 4), rand64(rng, 5, 4), rand64(rng, 5)  # random: no ties
+    content = rng.random((3, 6)) < 0.7
+    content[:, 0] = True
+    out = ad.splade_pool(h, emb, bias, content).data
+    assert (out == 0).any() and (out > 0).any()  # both sides of the relu
+    r = rng.standard_normal((3, 5))
+    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.splade_pool(h, emb, bias, content), Tensor(r))),
+                       [h, emb, bias])
 
 
 def test_grad_sums():
@@ -301,12 +329,16 @@ def test_grad_gelu():
 
 
 def test_grad_log1p_relu():
+    # one position per row and identity embeddings: ad.splade_pool is log(1 + relu(h + bias))
     rng = np.random.default_rng(24)
     vals = rng.standard_normal((4, 6))
     vals[np.abs(vals) < 0.1] += 0.2  # keep clear of the kink at 0
-    x = t64(vals)
+    x, bias = t64(vals), t64(np.zeros(6))
+    assert (vals < 0).any() and (vals > 0).any()
+    eye, content = t64(np.eye(6), req=False), np.ones((4, 1), dtype=bool)
     r = rng.standard_normal((4, 6))
-    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.log1p_relu(x), Tensor(r))), [x])
+    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.splade_pool(x, eye, bias, content), Tensor(r))),
+                       [x, bias])
 
 
 def test_grad_cross_entropy_with_ignored_rows():
@@ -341,8 +373,11 @@ def test_softmax_is_distribution(arr):
 @settings(max_examples=50, deadline=None)
 def test_finite_inputs_give_finite_grads(arr):
     x = Tensor(arr, requires_grad=True)
+    eye = Tensor(np.eye(arr.shape[1]))
     with GradTape() as tape:
-        loss = ad.sum_all(ad.log1p_relu(ad.gelu(ad.scale(x, 0.1))))
+        pooled = ad.splade_pool(ad.gelu(ad.scale(x, 0.1)), eye, Tensor(np.zeros(arr.shape[1])),
+                                np.ones((1, arr.shape[0]), dtype=bool))
+        loss = ad.sum_all(pooled)
         tape.backward(loss)
     assert np.isfinite(loss.data).all()
     assert np.isfinite(x.grad).all()

@@ -13,12 +13,16 @@ from spladapt.index import (
     build_impact_index, encode_corpus, index_from_vectors, load_index,
     retrieve_bm25, retrieve_sparse, save_index,
 )
-from spladapt.model import ModelConfig, SparseVector, encode_sparse, init_weights, score
+from spladapt.model import (ModelConfig, SparseVector, encode_sparse_batch, init_weights,
+                             sparse_from_dense)
 from spladapt.params import fnv1a64
 from spladapt.vocab import Vocabulary, build_vocabulary
 
 
 def brute_force_sparse(reps, query, cutoff):
+    def score(q, d):
+        return sum(val * d.weights[tid] for tid, val in q.items() if tid in d.weights)
+
     scored = [(d, score(query, v)) for d, v in reps.items()]
     scored = [(d, s) for d, s in scored if s != 0.0]
     scored.sort(key=lambda e: (-e[1], e[0]))
@@ -94,7 +98,8 @@ def test_impact_index_from_encoder_consistent_with_single_encoding():
     index = build_impact_index(docs, weights, vocab, batch_size=4)
     reps = encode_corpus(weights, docs, vocab, batch_size=4)
     for doc_id, text in docs.items():
-        single = encode_sparse(weights, vocab.encode(text, cfg.max_seq_len))
+        ids = vocab.encode(text, cfg.max_seq_len)[None, :]
+        single = sparse_from_dense(encode_sparse_batch(weights, ids).data[0])
         batched = reps[doc_id]
         assert set(single.weights) == set(batched.weights)
         for tid, val in single.items():
@@ -313,6 +318,28 @@ def test_schema_1_index_rejected_with_remedy(tmp_path):
     msg = str(exc.value)
     assert str(meta_path) in msg and "schema_version" in msg
     assert "FNV-1a" in msg and "rebuild the index" in msg
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: m.pop("kind"), "missing field 'kind'"),
+    (lambda m: m.pop("n_docs"), "missing field 'n_docs'"),
+    (lambda m: m.pop("postings_checksum"), "missing field 'postings_checksum'"),
+    (lambda m: m.update(kind="dense"), "field 'kind'"),
+    ("{not json", "not valid JSON"),
+    ("3", "expected a JSON object"),
+], ids=["no-kind", "no-n_docs", "no-checksum", "bad-kind", "not-json", "not-object"])
+def test_malformed_meta_names_file_and_field(tmp_path, edit, field):
+    save_index(index_from_vectors({"a": SparseVector({1: 1.0})}), tmp_path / "idx")
+    meta_path = tmp_path / "idx" / "meta.json"
+    if isinstance(edit, str):
+        meta_path.write_text(edit)
+    else:
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as exc:
+        load_index(tmp_path / "idx")
+    assert str(meta_path) in str(exc.value) and field in str(exc.value)
 
 
 def write_postings(path, post):

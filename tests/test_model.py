@@ -7,12 +7,13 @@ import pytest
 
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
+from spladapt.index import index_from_vectors, retrieve_sparse
 from spladapt.model import (
     EncoderWeights, ModelConfig, SparseVector,
-    encode_sparse, encode_sparse_batch, forward_mlm, init_weights, mlm_logits,
-    parameter_shapes, score, sparse_from_dense,
+    encode_sparse_batch, init_weights, mlm_logits, parameter_shapes, sparse_from_dense,
 )
-from spladapt.vocab import CLS_ID, PAD_ID, SEP_ID
+from spladapt.training import build_mlm_batch
+from spladapt.vocab import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
 
 TINY = ModelConfig(vocab_size=30, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
                    max_seq_len=12, k_domain_layers=1)
@@ -66,21 +67,24 @@ def test_weights_validated_against_config():
 def test_forward_shapes_and_validation():
     w = init_weights(TINY, seed=3)
     ids = np.array([CLS_ID, 7, 9, SEP_ID])
-    out = forward_mlm(w, ids)
+    out = mlm_logits(w, ids[None, :], np.arange(4))
     assert out.shape == (4, TINY.vocab_size)
+    assert mlm_logits(w, ids[None, :], np.array([2, 1])).shape == (2, TINY.vocab_size)
     with pytest.raises(ValueError):
-        forward_mlm(w, np.array([CLS_ID, 30, SEP_ID]))  # id == vocab_size
+        mlm_logits(w, np.array([[CLS_ID, 30, SEP_ID]]), np.arange(3))  # id == vocab_size
     with pytest.raises(ValueError):
-        forward_mlm(w, np.arange(13) % 5)  # longer than max_seq_len
+        mlm_logits(w, (np.arange(13) % 5)[None, :], np.arange(13))  # longer than max_seq_len
     with pytest.raises(ValueError):
-        mlm_logits(w, ids)  # wants 2-D
+        mlm_logits(w, ids, np.arange(4))  # wants 2-D
+    with pytest.raises(IndexError):
+        mlm_logits(w, ids[None, :], np.array([4]))  # row past B*S
 
 
 def test_forward_deterministic():
     w = init_weights(TINY, seed=4)
     ids = np.array([[CLS_ID, 6, 7, 8, SEP_ID]])
-    a = mlm_logits(w, ids).data
-    b = mlm_logits(w, ids).data
+    a = mlm_logits(w, ids, np.arange(5)).data
+    b = mlm_logits(w, ids, np.arange(5)).data
     assert a.tobytes() == b.tobytes()
 
 
@@ -92,7 +96,7 @@ def test_zeroed_encoder_reps_come_from_mlm_bias():
         w[name].data[:] = 0
     c = 3.0
     w["mlm.bias"].data[:] = c
-    rep = encode_sparse(w, np.array([CLS_ID, 10, 11, SEP_ID]))
+    rep = sparse_from_dense(encode_sparse_batch(w, np.array([[CLS_ID, 10, 11, SEP_ID]])).data[0])
     assert rep.l0() == TINY.vocab_size
     for tid in (0, 7, 29):
         assert abs(rep.weights[tid] - math.log(1 + c)) < 1e-6
@@ -101,10 +105,10 @@ def test_zeroed_encoder_reps_come_from_mlm_bias():
 def test_sparse_pooling_matches_bruteforce_reference():
     w = init_weights(TINY, seed=6)
     ids = np.array([CLS_ID, 12, 7, 25, SEP_ID])
-    logits = forward_mlm(w, ids).data
+    logits = mlm_logits(w, ids[None, :], np.arange(len(ids))).data
     content = ids >= 5
     expected = np.log1p(np.maximum(logits[content].max(axis=0), 0.0))
-    rep = encode_sparse(w, ids)
+    rep = sparse_from_dense(encode_sparse_batch(w, ids[None, :]).data[0])
     dense = np.zeros(TINY.vocab_size)
     for tid, val in rep.items():
         dense[tid] = val
@@ -130,7 +134,7 @@ def test_batch_padding_matches_single_sequences():
 def test_encode_sparse_requires_content():
     w = init_weights(TINY, seed=8)
     with pytest.raises(ValueError):
-        encode_sparse(w, np.array([CLS_ID, SEP_ID]))
+        encode_sparse_batch(w, np.array([[CLS_ID, SEP_ID]]))
 
 
 def test_sparse_vector_contracts():
@@ -142,18 +146,71 @@ def test_sparse_vector_contracts():
 
 
 def test_score_inner_product():
+    # a doc scores the inner product over shared terms; zero scores never rank
     q = SparseVector({1: 2.0, 3: 1.0})
     d = SparseVector({3: 4.0, 5: 1.0})
-    assert score(q, d) == 4.0
-    assert score(q, SparseVector({})) == 0.0
-    assert score(SparseVector({}), d) == 0.0
+    assert retrieve_sparse(index_from_vectors({"d": d}), q, cutoff=5).entries == [("d", 4.0)]
+    assert retrieve_sparse(index_from_vectors({"d": SparseVector({})}), q, cutoff=5).entries == []
+    assert retrieve_sparse(index_from_vectors({"d": d}), SparseVector({}), cutoff=5).entries == []
+
+
+def _oracle_reps(w: EncoderWeights, ids: np.ndarray) -> np.ndarray:
+    """Tied-head logits, non-content positions masked, max over positions,
+    log(1 + relu(.)): the representation built from plain numpy."""
+    B, S = ids.shape
+    logits = mlm_logits(w, ids, np.arange(B * S)).data.reshape(B, S, -1)
+    logits[ids < N_SPECIALS] = -np.inf
+    pooled = logits.max(axis=1)
+    return np.log1p(np.where(pooled > 0, pooled, 0))
+
+
+def test_encode_sparse_batch_bitwise_matches_oracle_on_and_off_tape():
+    w = init_weights(TINY, seed=11)
+    w["mlm.bias"].data[:] = np.random.default_rng(11).normal(0, 0.05, TINY.vocab_size)
+    ids = np.full((3, 7), PAD_ID, dtype=np.int64)
+    ids[0] = [CLS_ID, 9, 17, 23, 5, 28, SEP_ID]
+    ids[1, :4] = [CLS_ID, 6, 6, SEP_ID]
+    ids[2, :5] = [CLS_ID, 29, 11, 12, SEP_ID]
+    expected = _oracle_reps(w, ids)
+    assert (expected > 0).any() and (expected == 0).any()
+    assert encode_sparse_batch(w, ids).data.tobytes() == expected.tobytes()
+    with GradTape() as tape:
+        reps = encode_sparse_batch(w, ids)
+        assert reps.data.tobytes() == expected.tobytes()
+        tape.backward(ad.sum_all(reps))
+    assert w["emb.token"].grad is not None and w["layer.1.ffn.w2"].grad is not None
+
+
+def test_masked_row_mlm_loss_and_grads_match_full_logits():
+    w = init_weights(TINY, seed=12)
+    seqs = [np.array([CLS_ID, 7, 9, 11, 13, 15, 17, SEP_ID]), np.array([CLS_ID, 20, 21, 22, SEP_ID])]
+    batch = build_mlm_batch(seqs, np.random.default_rng(3), TINY.vocab_size, mask_prob=0.5)
+    labels = batch.labels.reshape(-1)
+    rows = np.flatnonzero(labels != ad.IGNORE_INDEX)
+    assert 0 < len(rows) < labels.size
+
+    def loss_and_grads(make_loss):
+        w.zero_grad()
+        with GradTape() as tape:
+            loss = make_loss()
+            tape.backward(loss)
+        return float(loss.data), {n: w[n].grad.copy() for n in w.names()}
+
+    full, full_grads = loss_and_grads(
+        lambda: ad.softmax_cross_entropy(mlm_logits(w, batch.input_ids, np.arange(labels.size)), labels))
+    masked, masked_grads = loss_and_grads(
+        lambda: ad.softmax_cross_entropy(mlm_logits(w, batch.input_ids, rows), labels[rows]))
+    assert masked == pytest.approx(full, rel=1e-6)
+    for name in w.names():
+        np.testing.assert_allclose(masked_grads[name], full_grads[name], rtol=1e-5, atol=1e-8,
+                                   err_msg=name)
 
 
 def test_tied_head_routes_gradient_to_token_embeddings():
     w = init_weights(TINY, seed=9)
     ids = np.array([[CLS_ID, 11, 13, SEP_ID]])
     with GradTape() as tape:
-        logits = mlm_logits(w, ids)
+        logits = mlm_logits(w, ids, np.arange(4))
         loss = ad.softmax_cross_entropy(logits, np.array([-100, 14, -100, -100]))
         tape.backward(loss)
     grad = w["emb.token"].grad
@@ -171,7 +228,7 @@ def test_full_encoder_gradient_check_small():
     targets = np.array([-100, 9, 7, -100])
 
     def loss_fn():
-        return ad.softmax_cross_entropy(mlm_logits(w, ids), targets)
+        return ad.softmax_cross_entropy(mlm_logits(w, ids, np.arange(4)), targets)
 
     with GradTape() as tape:
         tape.backward(loss_fn())

@@ -151,6 +151,40 @@ def test_schema_1_checkpoint_rejected_with_remedy(tmp_path):
     assert "FNV-1a" in msg and "re-save the checkpoint" in msg
 
 
+def _drop(key):
+    return lambda m: m.pop(key)
+
+
+def _set_shape(m):
+    m["tensors"][0]["shape"] = [3, 3]
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_drop("config"), "'config'"),
+    (_drop("stage"), "'stage'"),
+    (lambda m: m["tensors"][2].pop("offset"), "tensors[2]: missing field 'offset'"),
+    (_set_shape, "field 'shape'"),
+    (lambda m: m.update(stage="trained"), "unknown stage 'trained'"),
+    (lambda m: m["config"].update(d_model=-1), "field 'config'"),
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "expected a JSON object"),
+], ids=["no-config", "no-stage", "no-offset", "wrong-shape", "bad-stage", "bad-config",
+        "not-json", "not-object"])
+def test_malformed_manifest_names_file_and_field(tmp_path, edit, field):
+    import json
+    save_checkpoint(make_ckpt(seed=6), tmp_path / "ck")
+    manifest_path = tmp_path / "ck" / "manifest.json"
+    if isinstance(edit, str):
+        manifest_path.write_text(edit)
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(tmp_path / "ck")
+    assert str(manifest_path) in str(exc.value) and field in str(exc.value)
+
+
 def test_checkpoint_checksum_is_the_blob_checksum(tmp_path):
     import json
     ckpt = make_ckpt(seed=5)

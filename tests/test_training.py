@@ -360,7 +360,8 @@ def test_freeze_changes_no_trained_gradient():
     ids = build_mlm_batch(seqs, np.random.default_rng(0), CFG.vocab_size, mask_prob=0.0).input_ids
 
     def mlm_loss(w):
-        return ad.softmax_cross_entropy(mlm_logits(w, mlm.input_ids), mlm.labels.reshape(-1))
+        return ad.softmax_cross_entropy(mlm_logits(w, mlm.input_ids, np.arange(mlm.labels.size)),
+                                        mlm.labels.reshape(-1))
 
     def contrastive_loss(w):
         reps = encode_sparse_batch(w, ids)
