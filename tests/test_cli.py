@@ -6,6 +6,7 @@ import pytest
 
 from spladapt.cli import apply_overrides, load_config, main
 from spladapt.evaluation import EvalReport, read_run
+from spladapt.index import load_index
 
 TINY = {
     "model": {"vocab_size": 400, "n_layers": 2, "d_model": 16, "n_heads": 2,
@@ -187,6 +188,17 @@ class TestIndexSearch:
         mine = read_run(out)
         ref = read_run(pipeline_dir / "runs" / "composed.trec")
         assert {q: r.entries for q, r in mine.items()} == {q: r.entries for q, r in ref.items()}
+
+    @pytest.mark.parametrize("kind", ["impact", "frequency"])
+    def test_index_prints_the_number_of_terms_with_postings(self, config_path, pipeline_dir,
+                                                            tmp_path, capsys, kind):
+        idx = tmp_path / "idx"
+        capsys.readouterr()
+        assert main(["index", "--config", config_path, "--workdir", str(pipeline_dir),
+                     "--kind", kind, "--checkpoint", "composed", "--out", str(idx)]) == 0
+        index = load_index(idx)
+        n_terms = sum(index.df(t) > 0 for t in range(index.matrix.shape[1]))
+        assert f"({index.n_docs} docs, {n_terms} posting lists)" in capsys.readouterr().out
 
     def test_bm25_search_matches_pipeline_run(self, config_path, pipeline_dir, tmp_path):
         out = tmp_path / "run.trec"

@@ -13,15 +13,15 @@ from spladapt.index import (
     build_impact_index, encode_corpus, index_from_vectors, load_index,
     retrieve_bm25, retrieve_sparse, save_index,
 )
-from spladapt.model import (ModelConfig, SparseVector, encode_sparse_batch, init_weights,
-                             sparse_from_dense)
+from spladapt.model import ModelConfig, SparseVector, encode_sparse_batch, init_weights
 from spladapt.params import fnv1a64
-from spladapt.vocab import Vocabulary, build_vocabulary
+from spladapt.vocab import N_SPECIALS, PAD_ID, Vocabulary, build_vocabulary
 
 
 def brute_force_sparse(reps, query, cutoff):
     def score(q, d):
-        return sum(val * d.weights[tid] for tid, val in q.items() if tid in d.weights)
+        d = dict(d.items())
+        return sum(val * d[tid] for tid, val in q.items() if tid in d)
 
     scored = [(d, score(query, v)) for d, v in reps.items()]
     scored = [(d, s) for d, s in scored if s != 0.0]
@@ -99,17 +99,78 @@ def test_impact_index_from_encoder_consistent_with_single_encoding():
     reps = encode_corpus(weights, docs, vocab, batch_size=4)
     for doc_id, text in docs.items():
         ids = vocab.encode(text, cfg.max_seq_len)[None, :]
-        single = sparse_from_dense(encode_sparse_batch(weights, ids).data[0])
-        batched = reps[doc_id]
-        assert set(single.weights) == set(batched.weights)
+        row = encode_sparse_batch(weights, ids).data[0]
+        single = {int(t): float(row[t]) for t in np.flatnonzero(row > 0)}
+        batched = dict(reps[doc_id].items())
+        assert set(single) == set(batched)
         for tid, val in single.items():
-            assert abs(val - batched.weights[tid]) < 1e-5
+            assert abs(val - batched[tid]) < 1e-5
     # postings are doc-id sorted and complete
     for tid, plist in index.postings.items():
         assert [d for d, _ in plist] == sorted(d for d, _ in plist)
         for doc_id, w in plist:
-            assert abs(reps[doc_id].weights[tid] - w) < 1e-12
+            assert abs(dict(reps[doc_id].items())[tid] - w) < 1e-12
 
+
+
+def _encoder_batches(weights, docs, vocab, batch_size):
+    """Doc id -> dense encoder row, from the batches encode_corpus forms: docs
+    in order, batch_size at a time, contentless docs dropped, each batch
+    padded to its longest sequence."""
+    rows = {}
+    items = list(docs.items())
+    for start in range(0, len(items), batch_size):
+        seqs = {d: vocab.encode(t, weights.config.max_seq_len) for d, t in items[start:start + batch_size]}
+        seqs = {d: s for d, s in seqs.items() if (s >= N_SPECIALS).any()}
+        if not seqs:
+            continue
+        ids = np.full((len(seqs), max(map(len, seqs.values()))), PAD_ID, dtype=np.int64)
+        for r, s in enumerate(seqs.values()):
+            ids[r, :len(s)] = s
+        rows.update(zip(seqs, encode_sparse_batch(weights, ids).data))
+    return rows
+
+
+def test_encode_corpus_keeps_exactly_the_positive_entries_of_each_encoder_row():
+    cfg = ModelConfig(vocab_size=40, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
+                      max_seq_len=12, k_domain_layers=1)
+    weights = init_weights(cfg, seed=3)
+    weights["mlm.bias"].data[::3] = -0.05  # some terms pool below zero and drop
+    vocab = Vocabulary([f"w{i}" for i in range(35)])
+    docs = {f"d{i}": " ".join(f"w{(3 * i + j) % 35}" for j in range(1 + i % 5)) for i in range(8)}
+    docs["d3"] = "unknown words only"  # no content tokens: an empty vector
+    reps = encode_corpus(weights, docs, vocab, batch_size=3)
+    rows = _encoder_batches(weights, docs, vocab, batch_size=3)
+    assert list(reps) == list(docs) and set(rows) == set(docs) - {"d3"}
+    assert list(reps["d3"].items()) == []
+    for doc_id, row in rows.items():
+        tids, vals = zip(*reps[doc_id].items())
+        keep = np.flatnonzero(row > 0)
+        assert 0 < len(keep) < cfg.vocab_size
+        np.testing.assert_array_equal(np.array(tids), keep)
+        assert np.array(vals).tobytes() == row[keep].astype(np.float64).tobytes()
+
+
+def test_index_from_vectors_matches_a_dict_built_matrix():
+    rng = np.random.default_rng(5)
+    reps = {"d05": SparseVector({})}
+    for i in rng.permutation(12):
+        tids = rng.choice(50, size=int(rng.integers(0, 9)), replace=False)  # unsorted
+        reps.setdefault(f"d{i:02d}", SparseVector({int(t): float(rng.random()) + 0.01 for t in tids}))
+    index = index_from_vectors(reps)
+    doc_ids = sorted(reps)
+    oracle = np.zeros((len(doc_ids), 1 + max(t for v in reps.values() for t, _ in v.items())))
+    for r, d in enumerate(doc_ids):
+        for t, w in reps[d].items():
+            oracle[r, t] = w
+    m = index.matrix
+    assert index.doc_ids == doc_ids and index.kind == "impact"
+    assert m.shape == oracle.shape and m.dtype == np.float64
+    assert m.toarray().tobytes() == oracle.tobytes()
+    assert m.nnz == np.count_nonzero(oracle) and (m.data > 0).all()
+    for r in range(len(doc_ids)):  # canonical rows: term ids strictly ascending
+        assert (np.diff(m.indices[m.indptr[r]:m.indptr[r + 1]]) > 0).all()
+    assert index.doc_lengths == {d: v.l0() for d, v in reps.items()}
 
 def test_random_corpora_match_brute_force():
     rng = np.random.default_rng(42)

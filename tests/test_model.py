@@ -10,7 +10,7 @@ from spladapt.autodiff import GradTape, Tensor
 from spladapt.index import index_from_vectors, retrieve_sparse
 from spladapt.model import (
     EncoderWeights, ModelConfig, SparseVector,
-    encode_sparse_batch, init_weights, mlm_logits, parameter_shapes, sparse_from_dense,
+    encode_sparse_batch, init_weights, mlm_logits, parameter_shapes,
 )
 from spladapt.training import build_mlm_batch
 from spladapt.vocab import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
@@ -96,10 +96,11 @@ def test_zeroed_encoder_reps_come_from_mlm_bias():
         w[name].data[:] = 0
     c = 3.0
     w["mlm.bias"].data[:] = c
-    rep = sparse_from_dense(encode_sparse_batch(w, np.array([[CLS_ID, 10, 11, SEP_ID]])).data[0])
-    assert rep.l0() == TINY.vocab_size
+    row = encode_sparse_batch(w, np.array([[CLS_ID, 10, 11, SEP_ID]])).data[0]
+    rep = {int(t): float(row[t]) for t in np.flatnonzero(row > 0)}
+    assert len(rep) == TINY.vocab_size
     for tid in (0, 7, 29):
-        assert abs(rep.weights[tid] - math.log(1 + c)) < 1e-6
+        assert abs(rep[tid] - math.log(1 + c)) < 1e-6
 
 
 def test_sparse_pooling_matches_bruteforce_reference():
@@ -108,7 +109,8 @@ def test_sparse_pooling_matches_bruteforce_reference():
     logits = mlm_logits(w, ids[None, :], np.arange(len(ids))).data
     content = ids >= 5
     expected = np.log1p(np.maximum(logits[content].max(axis=0), 0.0))
-    rep = sparse_from_dense(encode_sparse_batch(w, ids[None, :]).data[0])
+    row = encode_sparse_batch(w, ids[None, :]).data[0]
+    rep = {int(t): float(row[t]) for t in np.flatnonzero(row > 0)}
     dense = np.zeros(TINY.vocab_size)
     for tid, val in rep.items():
         dense[tid] = val
@@ -139,11 +141,21 @@ def test_encode_sparse_requires_content():
 
 def test_sparse_vector_contracts():
     sv = SparseVector({3: 1.5, 9: 0.0})
-    assert sv.l0() == 1 and 9 not in sv.weights
+    assert sv.l0() == 1 and 9 not in dict(sv.items())
     with pytest.raises(ValueError):
         SparseVector({1: -0.5})
-    assert sparse_from_dense(np.array([0.0, 2.0, 0.0, 1.0])) == SparseVector({1: 2.0, 3: 1.0})
+    assert SparseVector({3: 1.0, 1: 2.0}) == SparseVector({1: 2.0, 3: 1.0, 7: 0.0})
 
+
+
+def test_sparse_vector_from_dict_drops_zeros_rejects_negatives_and_coerces():
+    sv = SparseVector({np.int64(7): np.float32(0.5), 2: 3, 5: 0.0})
+    assert sorted(sv.items()) == [(2, 3.0), (7, 0.5)]
+    assert all(type(t) is int and type(w) is float for t, w in sv.items())
+    assert len(sv) == sv.l0() == 2
+    assert SparseVector({}).l0() == 0 and SparseVector(None) == SparseVector({})
+    with pytest.raises(ValueError, match="term 4"):
+        SparseVector({1: 1.0, 4: -1e-9})
 
 def test_score_inner_product():
     # a doc scores the inner product over shared terms; zero scores never rank
