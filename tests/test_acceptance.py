@@ -371,9 +371,10 @@ def _bm25_oracle(docs, query_text, voc, cutoff, k1=0.9, b=0.4):
 def _impact_oracle(reps, query, cutoff):
     scored = []
     for d, vec in reps.items():
+        weights = dict(vec.items())
         s = 0.0
         for tid, qval in query.items():
-            dval = vec.weights.get(tid)
+            dval = weights.get(tid)
             if dval is not None:
                 s += qval * dval
         if s != 0.0:
