@@ -27,6 +27,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import Dataset, dataset_stats, load_dataset, load_qrels, load_queries, save_dataset
 from .evaluation import evaluate_run, paired_ttest, read_run, write_run
 from .experiment import (
@@ -320,7 +322,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         default_out = workdir / "indexes" / f"{args.domain}_impact_{args.checkpoint}"
     out = Path(args.out) if args.out else default_out
     save_index(index, out)
-    print(f"saved {out} ({index.n_docs} docs, {len(set(index.matrix.indices.tolist()))} posting lists)")
+    print(f"saved {out} ({index.n_docs} docs, {np.count_nonzero(np.bincount(index.matrix.indices))} posting lists)")
     return 0
 
 

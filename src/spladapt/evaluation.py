@@ -121,7 +121,7 @@ def paired_ttest(a: Sequence[float], b: Sequence[float]) -> TTestResult:
 
 
 def sparsity_stats(vectors: Iterable[SparseVector]) -> dict[str, float]:
-    l0s = [v.l0() for v in vectors]
+    l0s = [len(v) for v in vectors]
     if not l0s:
         raise ValueError("sparsity over an empty collection")
     return {

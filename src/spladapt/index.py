@@ -1,7 +1,8 @@
 """Inverted index, exact top-k sparse retrieval, and BM25.
 
 An index is one docs x terms matrix (scipy.sparse CSR, float64), rows in
-ascending doc id order, column t for term id t. Two index kinds share it:
+ascending doc id order, column t for term id t, concatenated from each doc's
+(term ids, values) arrays with no loop per posting. Two index kinds share it:
     impact     entries are learned sparse representation weights; scoring
                is the inner product with a sparse query vector.
     frequency  entries are raw term counts. BM25 is the same product of the
@@ -31,9 +32,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .model import EncoderWeights, SparseVector, encode_sparse_batch, sparse_from_dense
+from .model import EncoderWeights, SparseVector, encode_sparse_batch
 from .params import _read_json, _require, _write_atomic, fnv1a64
-from .vocab import N_SPECIALS, PAD_ID, Vocabulary, tokenize
+from .vocab import N_SPECIALS, PAD_ID, UNK_ID, Vocabulary, tokenize
 
 __all__ = [
     "INDEX_KINDS", "BM25_K1", "BM25_B",
@@ -106,14 +107,14 @@ class InvertedIndex:
         return sp.csr_array((idf[m.indices] * tf_part, m.indices, m.indptr), shape=m.shape)
 
 
-def _index(kind: str, rows: dict[str, dict[int, float]], doc_lengths: dict[str, int]) -> InvertedIndex:
-    """Index over doc id -> {term id: value}; doc_lengths names every doc."""
+def _index(kind: str, rows: dict[str, tuple], doc_lengths: dict[str, int]) -> InvertedIndex:
+    """Index over doc id -> (distinct term ids, float64 values); doc_lengths names every doc."""
     if not doc_lengths:
         raise ValueError("cannot build an index over an empty corpus")
     doc_ids = sorted(doc_lengths)
-    indptr = np.cumsum([0] + [len(rows[d]) for d in doc_ids])
-    tids = np.fromiter((t for d in doc_ids for t in rows[d]), np.int64, count=indptr[-1])
-    vals = np.fromiter((v for d in doc_ids for v in rows[d].values()), np.float64, count=indptr[-1])
+    indptr = np.cumsum([0] + [len(rows[d][0]) for d in doc_ids])
+    tids = np.concatenate([rows[d][0] for d in doc_ids])
+    vals = np.concatenate([rows[d][1] for d in doc_ids])
     matrix = sp.csr_array((vals, tids, indptr), shape=(len(doc_ids), tids.max(initial=-1) + 1))
     matrix.sort_indices()
     avgdl = sum(doc_lengths.values()) / len(doc_lengths)
@@ -122,27 +123,23 @@ def _index(kind: str, rows: dict[str, dict[int, float]], doc_lengths: dict[str, 
 
 def encode_corpus(weights: EncoderWeights, docs: dict[str, str], vocab: Vocabulary,
                   batch_size: int = 32) -> dict[str, SparseVector]:
-    """Sparse representations for every doc, batched for throughput. Docs
-    whose text has no content tokens are represented as empty vectors."""
-    reps: dict[str, SparseVector] = {}
-    items = list(docs.items())
-    cfg = weights.config
+    """Each doc's strictly positive encoder row entries (empty without content
+    tokens), batched for throughput; a non-finite row is refused, naming its doc."""
+    seqs = {d: vocab.encode(text, weights.config.max_seq_len) for d, text in docs.items()}
+    reps = dict.fromkeys(seqs, SparseVector())
+    items = list(seqs.items())
     for start in range(0, len(items), batch_size):
-        chunk = items[start: start + batch_size]
-        seqs = [vocab.encode(text, cfg.max_seq_len) for _, text in chunk]
-        keep = [i for i, s in enumerate(seqs) if (s >= N_SPECIALS).any()]
-        for i, (doc_id, _) in enumerate(chunk):
-            if i not in keep:
-                reps[doc_id] = SparseVector({})
-        if not keep:
+        chunk = [(d, s) for d, s in items[start: start + batch_size] if (s >= N_SPECIALS).any()]
+        if not chunk:
             continue
-        S = max(len(seqs[i]) for i in keep)
-        ids = np.full((len(keep), S), PAD_ID, dtype=np.int64)
-        for row, i in enumerate(keep):
-            ids[row, : len(seqs[i])] = seqs[i]
-        dense = encode_sparse_batch(weights, ids).data
-        for row, i in enumerate(keep):
-            reps[chunk[i][0]] = sparse_from_dense(dense[row])
+        ids = np.full((len(chunk), max(len(s) for _, s in chunk)), PAD_ID, dtype=np.int64)
+        for row, (_, s) in enumerate(chunk):
+            ids[row, : len(s)] = s
+        for (doc_id, _), row in zip(chunk, encode_sparse_batch(weights, ids).data):
+            if not np.isfinite(row).all():
+                raise ValueError(f"encoder row of {doc_id!r} holds a non-finite weight")
+            tids = np.flatnonzero(row > 0)
+            reps[doc_id] = SparseVector.from_arrays(tids, row[tids].astype(np.float64))
     return reps
 
 
@@ -159,37 +156,39 @@ def index_from_vectors(reps: dict[str, SparseVector],
     lengths = doc_lengths if doc_lengths is not None else {d: v.l0() for d, v in reps.items()}
     if set(lengths) != set(reps):
         raise ValueError("doc_lengths and representations name different docs")
-    return _index("impact", {d: v.weights for d, v in reps.items()}, lengths)
+    return _index("impact", {d: (v.tids, v.vals) for d, v in reps.items()}, lengths)
 
 
 def build_frequency_index(docs: dict[str, str], vocab: Vocabulary) -> InvertedIndex:
     """Index raw term counts over vocabulary terms (unknown terms are dropped:
     they can never match a query through the shared vocabulary)."""
-    counts: dict[str, Counter] = {}
-    lengths: dict[str, int] = {}
-    for doc_id, text in docs.items():
-        tokens = tokenize(text)
-        lengths[doc_id] = len(tokens)
-        counts[doc_id] = Counter(vocab.id_of(t) for t in tokens)
-        counts[doc_id].pop(1, None)  # UNK
-    return _index("frequency", counts, lengths)
+    tokens = {doc_id: tokenize(text) for doc_id, text in docs.items()}
+    return _index("frequency", {d: _term_counts(toks, vocab) for d, toks in tokens.items()},
+                  {d: len(toks) for d, toks in tokens.items()})
+
+
+def _term_counts(tokens: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct known term ids among tokens, and their float64 counts (UNK dropped)."""
+    counts = Counter(vocab.id_of(t) for t in tokens)
+    counts.pop(UNK_ID, None)
+    return (np.fromiter(counts, np.int64, count=len(counts)),
+            np.fromiter(counts.values(), np.float64, count=len(counts)))
 
 
 # ---------------------------------------------------------------- retrieval
 
 
-def _top_k(index: InvertedIndex, matrix: sp.csr_array, query: dict[int, float], cutoff: int,
-           query_id: str) -> RankedList:
+def _top_k(index: InvertedIndex, matrix: sp.csr_array, tids: np.ndarray, vals: np.ndarray,
+           cutoff: int, query_id: str) -> RankedList:
     """Exact top-k of one sparse product: each doc scores the inner product
-    of its matrix row with the query (term id -> weight; ids past the last
-    column match nothing). Only nonzero scores rank; ties break by ascending
-    doc id, which is ascending row."""
+    of its matrix row with the query, distinct term ids tids weighted by vals
+    (ids past the last column match nothing). Only nonzero scores rank; ties
+    break by ascending doc id, which is ascending row."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    tids = np.fromiter(query.keys(), np.int64, count=len(query))
     q = np.zeros(matrix.shape[1])
     keep = tids < len(q)
-    q[tids[keep]] = np.fromiter(query.values(), np.float64, count=len(query))[keep]
+    q[tids[keep]] = vals[keep]
     scores = matrix @ q
     cand = np.flatnonzero(scores)
     top = cand[np.lexsort((cand, -scores[cand]))[:cutoff]]
@@ -202,7 +201,7 @@ def retrieve_sparse(index: InvertedIndex, query: SparseVector, cutoff: int,
     """Exact inner-product top-k over the learned weights."""
     if index.kind != "impact":
         raise ValueError(f"sparse retrieval needs an impact index, got {index.kind!r}")
-    return _top_k(index, index.matrix, query.weights, cutoff, query_id)
+    return _top_k(index, index.matrix, query.tids, query.vals, cutoff, query_id)
 
 
 def bm25_idf(n_docs: int, df: int) -> float:
@@ -216,9 +215,7 @@ def retrieve_bm25(index: InvertedIndex, query_text: str, vocab: Vocabulary, cuto
     derived BM25 weights, so repeated query terms weight by their count."""
     if index.kind != "frequency":
         raise ValueError(f"bm25 needs a frequency index, got {index.kind!r}")
-    qcounts = Counter(vocab.id_of(t) for t in tokenize(query_text))
-    qcounts.pop(1, None)  # UNK matches nothing
-    return _top_k(index, index._bm25, qcounts, cutoff, query_id)
+    return _top_k(index, index._bm25, *_term_counts(tokenize(query_text), vocab), cutoff, query_id)
 
 
 # ---------------------------------------------------------------- serialization

@@ -1,5 +1,7 @@
 """Small post-layer-norm transformer encoder with a tied MLM head, and the
-sparse document/query representations derived from it.
+sparse document/query representations derived from it: a SparseVector is two
+numpy arrays, ascending term ids (int64) and their finite positive weights
+(float64).
 
 A representation weight for vocabulary term j is
     w_j = log(1 + relu(max_i logit_ij))
@@ -27,7 +29,7 @@ from .vocab import N_SPECIALS, PAD_ID
 __all__ = [
     "ModelConfig", "EncoderWeights", "SparseVector",
     "parameter_shapes", "init_weights",
-    "mlm_logits", "encode_sparse_batch", "sparse_from_dense",
+    "mlm_logits", "encode_sparse_batch",
     "LN_EPS",
 ]
 
@@ -211,30 +213,36 @@ def mlm_logits(w: EncoderWeights, ids: np.ndarray, rows: np.ndarray) -> Tensor:
 
 
 class SparseVector:
-    """Term id -> positive weight; zero-weight terms are never stored."""
+    """Strictly ascending term ids tids (int64) and their finite positive
+    weights vals (float64), from a term id -> weight dict that may hold zeros."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("tids", "vals")
 
     def __init__(self, weights: dict[int, float] | None = None):
-        self.weights = {}
-        if weights:
-            for tid, val in weights.items():
-                if val < 0:
-                    raise ValueError(f"negative sparse weight {val} for term {tid}")
-                if val > 0:
-                    self.weights[int(tid)] = float(val)
+        items = sorted((int(tid), float(val)) for tid, val in (weights or {}).items())
+        for tid, val in items:
+            if not 0 <= val < np.inf:
+                raise ValueError(f"sparse weight {val} for term {tid} is negative or non-finite")
+        self.tids = np.array([tid for tid, val in items if val > 0], np.int64)
+        self.vals = np.array([val for _, val in items if val > 0], np.float64)
 
-    def l0(self) -> int:
-        return len(self.weights)
+    @classmethod
+    def from_arrays(cls, tids: np.ndarray, vals: np.ndarray) -> "SparseVector":
+        """Wrap arrays that already keep the invariant, without checks or copies."""
+        vec = cls.__new__(cls)
+        vec.tids, vec.vals = tids, vals
+        return vec
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.tids)
+
+    l0 = __len__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SparseVector) and self.weights == other.weights
+        return isinstance(other, SparseVector) and self.items() == other.items()
 
-    def items(self):
-        return self.weights.items()
+    def items(self) -> list[tuple[int, float]]:
+        return list(zip(self.tids.tolist(), self.vals.tolist()))
 
 
 def encode_sparse_batch(w: EncoderWeights, ids: np.ndarray) -> Tensor:
@@ -247,9 +255,3 @@ def encode_sparse_batch(w: EncoderWeights, ids: np.ndarray) -> Tensor:
         bad = int(np.flatnonzero(~content.any(axis=1))[0])
         raise ValueError(f"sequence {bad} has no content terms to pool over")
     return ad.splade_pool(_encoder_hidden(w, ids), w["emb.token"], w["mlm.bias"], content)
-
-
-def sparse_from_dense(row: np.ndarray) -> SparseVector:
-    """Keep strictly positive entries of a dense (V,) representation."""
-    ids = np.flatnonzero(row > 0)
-    return SparseVector({int(tid): float(row[tid]) for tid in ids})

@@ -8,11 +8,13 @@ import struct
 import numpy as np
 import pytest
 
+import spladapt.index
 from spladapt.index import (
     BM25_B, BM25_K1, bm25_idf, build_frequency_index,
     build_impact_index, encode_corpus, index_from_vectors, load_index,
     retrieve_bm25, retrieve_sparse, save_index,
 )
+from spladapt.experiment import encode_queries
 from spladapt.model import ModelConfig, SparseVector, encode_sparse_batch, init_weights
 from spladapt.params import fnv1a64
 from spladapt.vocab import N_SPECIALS, PAD_ID, Vocabulary, build_vocabulary
@@ -150,6 +152,25 @@ def test_encode_corpus_keeps_exactly_the_positive_entries_of_each_encoder_row():
         np.testing.assert_array_equal(np.array(tids), keep)
         assert np.array(vals).tobytes() == row[keep].astype(np.float64).tobytes()
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_corpus_refuses_non_finite_encoder_rows_naming_the_text(bad, monkeypatch):
+    cfg = ModelConfig(vocab_size=40, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
+                      max_seq_len=12, k_domain_layers=1)
+    weights = init_weights(cfg, seed=3)
+    vocab = Vocabulary([f"w{i}" for i in range(35)])
+
+    def poisoned(w, ids):  # every encoded row gets a non-finite weight for term 7
+        out = encode_sparse_batch(w, ids)
+        out.data[:, 7] = bad
+        return out
+
+    monkeypatch.setattr(spladapt.index, "encode_sparse_batch", poisoned)
+    with pytest.raises(ValueError, match="'d1'"):
+        encode_corpus(weights, {"d0": "unknown", "d1": "w1 w2", "d2": "w3"}, vocab)
+    with pytest.raises(ValueError, match="'q9'"):
+        encode_queries(weights, {"q9": "w4"}, vocab)
 
 def test_index_from_vectors_matches_a_dict_built_matrix():
     rng = np.random.default_rng(5)

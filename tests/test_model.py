@@ -157,6 +157,19 @@ def test_sparse_vector_from_dict_drops_zeros_rejects_negatives_and_coerces():
     with pytest.raises(ValueError, match="term 4"):
         SparseVector({1: 1.0, 4: -1e-9})
 
+
+def test_sparse_vector_holds_ascending_term_ids_and_float64_weights():
+    sv = SparseVector({9: 1.0, 2: 0.5, 4: 0.0, 5: 2.0})
+    assert sv.tids.dtype == np.int64 and sv.vals.dtype == np.float64
+    assert sv.tids.tolist() == [2, 5, 9] and sv.vals.tolist() == [0.5, 2.0, 1.0]
+    assert [t for t, _ in sv.items()] == [2, 5, 9]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sparse_vector_refuses_non_finite_weights_naming_the_term(bad):
+    with pytest.raises(ValueError, match="for term 3 is negative or non-finite"):
+        SparseVector({4: 1.0, 3: bad})
+
 def test_score_inner_product():
     # a doc scores the inner product over shared terms; zero scores never rank
     q = SparseVector({1: 2.0, 3: 1.0})
