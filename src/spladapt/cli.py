@@ -322,7 +322,8 @@ def cmd_index(args: argparse.Namespace) -> int:
         default_out = workdir / "indexes" / f"{args.domain}_impact_{args.checkpoint}"
     out = Path(args.out) if args.out else default_out
     save_index(index, out)
-    print(f"saved {out} ({index.n_docs} docs, {np.count_nonzero(np.bincount(index.matrix.indices))} posting lists)")
+    n_terms = np.count_nonzero(np.bincount(index.matrix.indices))
+    print(f"saved {out} ({index.n_docs} docs, {n_terms} posting lists)")
     return 0
 
 

@@ -3,8 +3,8 @@
 An index is one docs x terms matrix (scipy.sparse CSR, float64), rows in
 ascending doc id order, column t for term id t, concatenated from each doc's
 (term ids, values) arrays with no loop per posting. Two index kinds share it:
-    impact     entries are learned sparse representation weights; scoring
-               is the inner product with a sparse query vector.
+    impact     entries are the learned weights of each doc's SparseVector;
+               scoring is the inner product with a query's SparseVector.
     frequency  entries are raw term counts. BM25 is the same product of the
                query's term counts with idf x saturated-tf weights, derived
                once from the counts, doc lengths and avgdl with the

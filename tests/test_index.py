@@ -153,7 +153,6 @@ def test_encode_corpus_keeps_exactly_the_positive_entries_of_each_encoder_row():
         assert np.array(vals).tobytes() == row[keep].astype(np.float64).tobytes()
 
 
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_encode_corpus_refuses_non_finite_encoder_rows_naming_the_text(bad, monkeypatch):
     cfg = ModelConfig(vocab_size=40, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
@@ -171,6 +170,7 @@ def test_encode_corpus_refuses_non_finite_encoder_rows_naming_the_text(bad, monk
         encode_corpus(weights, {"d0": "unknown", "d1": "w1 w2", "d2": "w3"}, vocab)
     with pytest.raises(ValueError, match="'q9'"):
         encode_queries(weights, {"q9": "w4"}, vocab)
+
 
 def test_index_from_vectors_matches_a_dict_built_matrix():
     rng = np.random.default_rng(5)
@@ -192,6 +192,7 @@ def test_index_from_vectors_matches_a_dict_built_matrix():
     for r in range(len(doc_ids)):  # canonical rows: term ids strictly ascending
         assert (np.diff(m.indices[m.indptr[r]:m.indptr[r + 1]]) > 0).all()
     assert index.doc_lengths == {d: v.l0() for d, v in reps.items()}
+
 
 def test_random_corpora_match_brute_force():
     rng = np.random.default_rng(42)

@@ -170,6 +170,7 @@ def test_sparse_vector_refuses_non_finite_weights_naming_the_term(bad):
     with pytest.raises(ValueError, match="for term 3 is negative or non-finite"):
         SparseVector({4: 1.0, 3: bad})
 
+
 def test_score_inner_product():
     # a doc scores the inner product over shared terms; zero scores never rank
     q = SparseVector({1: 2.0, 3: 1.0})
