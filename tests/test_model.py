@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
 from spladapt.index import index_from_vectors, retrieve_sparse
 from spladapt.model import (
     EncoderWeights, ModelConfig, SparseVector,
-    encode_sparse_batch, init_weights, mlm_logits, parameter_shapes,
+    LN_EPS, encode_sparse_batch, init_weights, mlm_logits, parameter_shapes,
 )
 from spladapt.training import build_mlm_batch
 from spladapt.vocab import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
@@ -205,6 +206,56 @@ def test_encode_sparse_batch_bitwise_matches_oracle_on_and_off_tape():
         assert reps.data.tobytes() == expected.tobytes()
         tape.backward(ad.sum_all(reps))
     assert w["emb.token"].grad is not None and w["layer.1.ffn.w2"].grad is not None
+
+
+def _oracle_mlm_logits(w: EncoderWeights, ids: np.ndarray) -> np.ndarray:
+    """Every row's tied-head logits, rebuilt from plain numpy in the
+    encoder's own order of operations."""
+    cfg = w.config
+    B, S = ids.shape
+    H, d = cfg.n_heads, cfg.d_model
+    dh = d // H
+    t = {name: w[name].data for name in w.names()}
+    dt = t["emb.token"].dtype.type
+
+    def layer_norm(x, gain, bias):
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = np.mean(centered * centered, axis=-1, keepdims=True)
+        return centered * (1.0 / np.sqrt(var + dt(LN_EPS))) * gain + bias
+
+    def split(x):  # (B*S, d) -> (B, H, S, dh)
+        return x.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+
+    h = t["emb.token"][ids.reshape(-1)] + t["emb.position"][np.tile(np.arange(S), B)]
+    key_mask = np.where(ids == PAD_ID, dt(-np.inf), dt(0.0))[:, None, None, :]
+    for i in range(cfg.n_layers):
+        p = f"layer.{i}."
+        q, k, v = (split(h @ t[p + f"attn.w{c}"] + t[p + f"attn.b{c}"]) for c in "qkv")
+        scores = (q @ k.transpose(0, 1, 3, 2)) * dt(1.0 / np.sqrt(dh)) + key_mask
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        ctx = ((e / e.sum(axis=-1, keepdims=True)) @ v).transpose(0, 2, 1, 3).reshape(B * S, d)
+        h = layer_norm(h + (ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]),
+                       t[p + "ln1.gain"], t[p + "ln1.bias"])
+        a = h @ t[p + "ffn.w1"] + t[p + "ffn.b1"]
+        gelu = a * (0.5 * (1.0 + erf(a * dt(1 / math.sqrt(2)))))
+        h = layer_norm(h + (gelu @ t[p + "ffn.w2"] + t[p + "ffn.b2"]),
+                       t[p + "ln2.gain"], t[p + "ln2.bias"])
+    return h @ t["emb.token"].T + t["mlm.bias"]
+
+
+def test_encoder_forward_bitwise_matches_numpy_oracle():
+    # every tensor random, so biases, gains and PAD-masked keys all count
+    w = init_weights(TINY, seed=13)
+    rng = np.random.default_rng(13)
+    for name in w.names():
+        w[name].data[:] = rng.normal(0, 0.3, w[name].shape)
+    ids = np.full((3, 9), PAD_ID, dtype=np.int64)
+    ids[0] = [CLS_ID, 9, 17, 23, 5, 28, 6, 11, SEP_ID]
+    ids[1, :4] = [CLS_ID, 6, 6, SEP_ID]
+    ids[2, :6] = [CLS_ID, 29, 11, 12, 7, SEP_ID]
+    expected = _oracle_mlm_logits(w, ids)
+    assert expected.dtype == np.float32 and np.isfinite(expected).all()
+    assert mlm_logits(w, ids, np.arange(ids.size)).data.tobytes() == expected.tobytes()
 
 
 def test_masked_row_mlm_loss_and_grads_match_full_logits():
