@@ -8,6 +8,12 @@ calls outside any active tape record nothing, so pure inference is
 reentrant. Training runs in float32; pass float64 arrays for
 gradient-check work (ops keep the input dtype).
 
+The encoder's layers run on three fused ops with hand-written backward
+passes: linear (x @ w + b), self_attention (Q/K/V projections, heads as
+numpy views, scaled masked softmax, head merge) and feed_forward (linear,
+exact GELU, linear). Each computes the gradient only of an input that
+requires grad, so a frozen op still passes the gradient back to its input.
+
 splade_pool fuses the whole SPLADE head. It computes the pooling argmax only
 while a tape records it (training), and its backward builds the logit
 gradient as a sparse matrix with one entry per (sequence, term).
@@ -26,12 +32,12 @@ __all__ = [
     "Tensor",
     "GradTape",
     "matmul",
-    "bmm",
-    "swapaxes",
+    "linear",
+    "self_attention",
+    "feed_forward",
     "transpose2d",
     "reshape",
     "add",
-    "add_const",
     "mul",
     "scale",
     "concat_rows",
@@ -40,9 +46,7 @@ __all__ = [
     "gather_rows",
     "sum_axis",
     "sum_all",
-    "softmax",
     "layer_norm",
-    "gelu",
     "splade_pool",
     "softmax_cross_entropy",
     "numeric_gradient",
@@ -190,43 +194,50 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: a (B, m, k) @ b (B, k, n) -> (B, m, n)."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError(f"bmm expects 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x (n, k) @ w (k, m) + b (m,) -> (n, m), the bias added in place."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    out = Tensor(_affine(x.data, w.data, b.data))
 
     def backward():
         g = out.grad
         if g is None:
             return
-        if a.requires_grad:
-            _accum(a, g @ b.data.swapaxes(-1, -2))
-        if b.requires_grad:
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
+        _linear_grads(x.data, g, w, b)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
 
-    _record((a, b), out, backward)
+    _record((x, w, b), out, backward)
     return out
 
 
-def swapaxes(x: Tensor, axis1: int, axis2: int) -> Tensor:
-    out = Tensor(np.swapaxes(x.data, axis1, axis2).copy())
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    y = x @ w
+    y += b
+    return y
 
-    def backward():
-        if out.grad is not None:
-            _accum(x, np.swapaxes(out.grad, axis1, axis2))
 
-    _record((x,), out, backward)
-    return out
+def _linear_grads(x: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> None:
+    """Accumulate the weight and bias gradients of x @ w + b, given its output gradient g."""
+    if w.requires_grad:
+        _accum(w, x.T @ g)
+    if b.requires_grad:
+        _accum(b, g.sum(axis=0))
 
 
 def transpose2d(x: Tensor) -> Tensor:
     """x (m, n) -> (n, m)."""
     if x.ndim != 2:
         raise ValueError(f"transpose2d expects a 2-D tensor, got {x.shape}")
-    return swapaxes(x, 0, 1)
+    out = Tensor(x.data.T.copy())
+
+    def backward():
+        if out.grad is not None:
+            _accum(x, out.grad.T)
+
+    _record((x,), out, backward)
+    return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -257,18 +268,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(g, b.data.shape), own=False)
 
     _record((a, b), out, backward)
-    return out
-
-
-def add_const(x: Tensor, c: np.ndarray) -> Tensor:
-    """x + c where c is a non-differentiable constant (may broadcast)."""
-    out = Tensor(x.data + c)
-
-    def backward():
-        if out.grad is not None:
-            _accum(x, _unbroadcast(out.grad, x.data.shape), own=False)
-
-    _record((x,), out, backward)
     return out
 
 
@@ -399,23 +398,6 @@ def sum_all(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------- nonlinearities
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(x, s * (g - (g * s).sum(axis=-1, keepdims=True)))
-
-    _record((x,), out, backward)
-    return out
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift.
 
@@ -449,20 +431,90 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact GELU: 0.5 x (1 + erf(x / sqrt(2)))."""
-    cdf = 0.5 * (1.0 + erf(x.data * x.data.dtype.type(_INV_SQRT2)))
-    out = Tensor(x.data * cdf)
+# ---------------------------------------------------------------- fused encoder layer ops
+
+
+def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+                   wv: Tensor, bv: Tensor, key_mask: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention, before the output projection.
+
+    x (B*S, d) holds B sequences of S positions; key_mask (B, S) is added to
+    every query's scores for that key (0 to attend, -inf to block). Each of
+    the H = heads heads attends with d/H of the columns of
+    q = x @ wq + bq, k = x @ wk + bk and v = x @ wv + bv; the heads' contexts
+    are merged back to (B*S, d).
+    """
+    B, S = key_mask.shape
+    n, d = x.shape
+    if n != B * S or d % heads:
+        raise ValueError(f"self_attention: input {x.shape}, key mask {key_mask.shape} "
+                         f"and {heads} heads do not fit")
+    dh = d // heads
+    scale = x.dtype.type(1.0 / np.sqrt(dh))
+
+    def split(t: np.ndarray) -> np.ndarray:  # (B*S, d) -> (B, H, S, dh), a view
+        return t.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = (_affine(x.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    q4, k4, v4 = split(q), split(k), split(v)
+    p = q4 @ k4.transpose(0, 1, 3, 2)  # (B, H, S, S): scores, then probabilities
+    p *= scale
+    p += key_mask[:, None, None, :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor((p @ v4).transpose(0, 2, 1, 3).reshape(n, d))
 
     def backward():
         g = out.grad
         if g is None:
             return
-        pdf = np.exp(-0.5 * x.data * x.data) * x.data.dtype.type(_INV_SQRT2PI)
-        _accum(x, g * (cdf + x.data * pdf))
+        g4 = split(g)
+        dqkv = np.empty((B, S, 3, heads, dh), dtype=g.dtype)  # rows of [dq | dk | dv]
+        dq4, dk4, dv4 = (dqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
+        np.matmul(p.transpose(0, 1, 3, 2), g4, out=dv4)
+        ds = g4 @ v4.transpose(0, 1, 3, 2)  # d p, then d scores
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        np.matmul(ds, k4, out=dq4)
+        np.matmul(ds.transpose(0, 1, 3, 2), q4, out=dk4)
+        dqkv = dqkv.reshape(n, 3 * d)
+        for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+            _linear_grads(x.data, dqkv[:, i * d:(i + 1) * d], w, b)
+        if x.requires_grad:
+            _accum(x, dqkv @ np.concatenate((wq.data, wk.data, wv.data), axis=1).T)
 
-    _record((x,), out, backward)
+    _record((x, wq, bq, wk, bk, wv, bv), out, backward)
     return out
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2, with the exact GELU 0.5 a (1 + erf(a / sqrt(2)))."""
+    a = _affine(x.data, w1.data, b1.data)
+    cdf = 0.5 * (1.0 + erf(a * a.dtype.type(_INV_SQRT2)))
+    act = a * cdf
+    out = Tensor(_affine(act, w2.data, b2.data))
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        _linear_grads(act, g, w2, b2)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        da = g @ w2.data.T
+        pdf = np.exp(-0.5 * a * a) * a.dtype.type(_INV_SQRT2PI)
+        da *= cdf + a * pdf
+        _linear_grads(x.data, da, w1, b1)
+        if x.requires_grad:
+            _accum(x, da @ w1.data.T)
+
+    _record((x, w1, b1, w2, b2), out, backward)
+    return out
+
+
+# ---------------------------------------------------------------- SPLADE head and loss
 
 
 def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Tensor:
@@ -472,7 +524,8 @@ def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Te
         out[b, v] = log(1 + relu(max over content s of h[b*S + s] . emb[v] + bias[v])).
 
     The gradient of the max goes to the first maximal content position. The
-    (B*S, V) logits are not kept; a row without content pools to 0.
+    (B*S, V) logits are not kept; a row without content pools to 0, and a
+    NaN max stays NaN.
     """
     B, S = content.shape
     V = emb.shape[0]
@@ -484,7 +537,7 @@ def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Te
     logits = logits.reshape(B, S, V)
     logits[~content] = -np.inf
     m = logits.max(axis=1)
-    pos = m > 0
+    pos = ~(m <= 0)  # true for NaN too
     relu = np.where(pos, m, 0)
     out = Tensor(np.log1p(relu))
 

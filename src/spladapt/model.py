@@ -3,6 +3,10 @@ sparse document/query representations derived from it: a SparseVector is two
 numpy arrays, ascending term ids (int64) and their finite positive weights
 (float64).
 
+A layer is three fused autodiff ops, ad.self_attention, ad.linear (the
+attention output projection) and ad.feed_forward, each followed by a
+residual ad.add and an ad.layer_norm.
+
 A representation weight for vocabulary term j is
     w_j = log(1 + relu(max_i logit_ij))
 with the max over non-special positions i. The whole head (tied projection,
@@ -172,34 +176,18 @@ def _encoder_hidden(w: EncoderWeights, ids: np.ndarray) -> Tensor:
     as attention keys but still produce (ignored) outputs."""
     cfg = w.config
     B, S = ids.shape
-    H = cfg.n_heads
-    dh = cfg.d_model // H
     flat_ids = ids.reshape(-1)
     pos_ids = np.tile(np.arange(S, dtype=np.int64), B)
     h = ad.add(ad.gather_rows(w["emb.token"], flat_ids), ad.gather_rows(w["emb.position"], pos_ids))
 
-    dt = h.data.dtype
-    key_mask = np.where(ids == PAD_ID, dt.type(-np.inf), dt.type(0.0))  # (B, S)
-    key_mask = np.repeat(key_mask[:, None, None, :], H, axis=1).reshape(B * H, 1, S)
-
-    inv_sqrt_dh = 1.0 / np.sqrt(dh)
-
-    def heads(x: Tensor) -> Tensor:
-        # (B*S, d) -> (B*H, S, dh)
-        return ad.reshape(ad.swapaxes(ad.reshape(x, (B, S, H, dh)), 1, 2), (B * H, S, dh))
-
+    key_mask = np.where(ids == PAD_ID, h.dtype.type(-np.inf), h.dtype.type(0.0))
     for i in range(cfg.n_layers):
         p = f"layer.{i}."
-        q = heads(ad.add(ad.matmul(h, w[p + "attn.wq"]), w[p + "attn.bq"]))
-        k = heads(ad.add(ad.matmul(h, w[p + "attn.wk"]), w[p + "attn.bk"]))
-        v = heads(ad.add(ad.matmul(h, w[p + "attn.wv"]), w[p + "attn.bv"]))
-        scores = ad.add_const(ad.scale(ad.bmm(q, ad.swapaxes(k, 1, 2)), inv_sqrt_dh), key_mask)
-        ctx = ad.bmm(ad.softmax(scores), v)  # (B*H, S, dh)
-        ctx = ad.reshape(ad.swapaxes(ad.reshape(ctx, (B, H, S, dh)), 1, 2), (B * S, cfg.d_model))
-        attn_out = ad.add(ad.matmul(ctx, w[p + "attn.wo"]), w[p + "attn.bo"])
+        ctx = ad.self_attention(h, w[p + "attn.wq"], w[p + "attn.bq"], w[p + "attn.wk"], w[p + "attn.bk"],
+                                w[p + "attn.wv"], w[p + "attn.bv"], key_mask, cfg.n_heads)
+        attn_out = ad.linear(ctx, w[p + "attn.wo"], w[p + "attn.bo"])
         h = ad.layer_norm(ad.add(h, attn_out), w[p + "ln1.gain"], w[p + "ln1.bias"], eps=LN_EPS)
-        ffn = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(h, w[p + "ffn.w1"]), w[p + "ffn.b1"])),
-                               w[p + "ffn.w2"]), w[p + "ffn.b2"])
+        ffn = ad.feed_forward(h, w[p + "ffn.w1"], w[p + "ffn.b1"], w[p + "ffn.w2"], w[p + "ffn.b2"])
         h = ad.layer_norm(ad.add(h, ffn), w[p + "ln2.gain"], w[p + "ln2.bias"], eps=LN_EPS)
     return h
 
@@ -209,7 +197,7 @@ def mlm_logits(w: EncoderWeights, ids: np.ndarray, rows: np.ndarray) -> Tensor:
     at the flat positions rows (indices into B*S), in that order."""
     _validate_ids(w.config, ids)
     h = ad.gather_rows(_encoder_hidden(w, ids), rows)
-    return ad.add(ad.matmul(h, ad.transpose2d(w["emb.token"])), w["mlm.bias"])
+    return ad.linear(h, ad.transpose2d(w["emb.token"]), w["mlm.bias"])
 
 
 class SparseVector:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import softmax
+
 
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
@@ -21,6 +23,24 @@ def t64(data, req=True):
 
 def rand64(rng, *shape, req=True):
     return Tensor(rng.standard_normal(shape), requires_grad=req)
+
+
+def score_block(scores):
+    """scores (n, m) in the corner of a (16, 16) zero tensor: a wq for attention_probs."""
+    wq = t64(np.zeros((16, 16)))
+    wq.data[:scores.shape[0], :scores.shape[1]] = scores
+    return wq
+
+
+def attention_probs(wq, key_mask):
+    """One-head self_attention whose score matrix is wq[:S, :S], S = len(key_mask),
+    and whose output's first S columns are the attention probabilities:
+    x = [I | 0], wk = 4 I and wv = I at width 16, where the scale 1/4 undoes
+    the factor 4 exactly."""
+    S, eye = key_mask.shape[0], np.eye(16)
+    zero = t64(np.zeros(16), req=False)
+    return ad.self_attention(t64(eye[:S], req=False), wq, zero, t64(4 * eye, req=False), zero,
+                             t64(eye, req=False), zero, key_mask[None, :], heads=1)
 
 
 def assert_grads_match(make_loss, params, eps=1e-5, rtol=1e-4, atol=1e-8):
@@ -110,17 +130,50 @@ def test_splade_pool_values():
 
 
 def test_gelu_values():
-    x = t64([0.0, 1.0])
-    out = ad.gelu(x)
+    # identity weights and zero biases: feed_forward is the exact GELU
+    x = t64([[0.0, 1.0]])
+    eye, zero = t64(np.eye(2)), t64(np.zeros(2))
+    out = ad.feed_forward(x, eye, zero, eye, zero)
     # 0.5 * (1 + erf(1/sqrt(2))) = Phi(1) = 0.8413447460685429
-    np.testing.assert_allclose(out.data, [0.0, 0.8413447460685429], atol=1e-12)
+    np.testing.assert_allclose(out.data, [[0.0, 0.8413447460685429]], atol=1e-12)
 
 
 def test_softmax_rows_normalize():
+    # the attention softmax: rows sum to 1, and a blocked key gets exactly 0
     rng = np.random.default_rng(0)
-    out = ad.softmax(rand64(rng, 5, 9))
-    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-12)
-    assert (out.data >= 0).all()
+    key_mask = np.array([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    probs = attention_probs(score_block(rng.standard_normal((9, 9))), key_mask).data[:, :9]
+    np.testing.assert_allclose(probs.sum(axis=-1), np.ones(9), atol=1e-12)
+    assert (probs >= 0).all() and (probs[:, 2] == 0).all() and (probs[:, 3] > 0).all()
+
+
+def test_self_attention_heads_see_only_their_columns_and_unpadded_keys():
+    # oracle: each head's softmax(q k^T / sqrt(dh) + mask) v, written out per head
+    rng = np.random.default_rng(1)
+    B, S, d, H = 2, 5, 6, 3
+    x, wq, wk, wv = rand64(rng, B * S, d), rand64(rng, d, d), rand64(rng, d, d), rand64(rng, d, d)
+    bq, bk, bv = rand64(rng, d), rand64(rng, d), rand64(rng, d)
+    key_mask = np.zeros((B, S))
+    key_mask[1, 3:] = -np.inf
+    out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, key_mask, heads=H).data
+    q, k, v = (x.data @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    dh = d // H
+    for b in range(B):
+        rows = slice(b * S, (b + 1) * S)
+        for h in range(H):
+            cols = slice(h * dh, (h + 1) * dh)
+            p = softmax(q[rows, cols] @ k[rows, cols].T / math.sqrt(dh) + key_mask[b], axis=-1)
+            np.testing.assert_allclose(out[rows, cols], p @ v[rows, cols], rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError):
+        ad.self_attention(x, wq, bq, wk, bk, wv, bv, np.zeros((B, S + 1)), heads=H)
+
+
+def test_splade_pool_passes_a_nan_logit_through():
+    # a NaN weight must reach the output, where encode_corpus refuses it, not pool to 0
+    h = t64([[-2.0, 0.0, 1.0], [-3.0, -1.0, 3.0]])
+    bias = t64([0.5, np.nan, 0.0])
+    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.array([[True, True]])).data
+    assert np.isnan(out[0, 1]) and out[0, 0] == 0.0 and out[0, 2] == math.log(4.0)
 
 
 def test_splade_pool_first_max_wins_on_tie():
@@ -194,9 +247,12 @@ def test_grad_accumulates_on_reuse():
 
 def test_dtype_preserved():
     for dtype in (np.float32, np.float64):
-        x = Tensor(np.ones((2, 3), dtype=dtype), requires_grad=True)
+        x = Tensor(np.ones((2, 4), dtype=dtype), requires_grad=True)
+        eye, zero = Tensor(np.eye(4, dtype=dtype)), Tensor(np.zeros(4, dtype=dtype))
         with GradTape() as tape:
-            out = ad.sum_all(ad.gelu(ad.scale(x, 0.5)))
+            h = ad.self_attention(ad.scale(x, 0.5), eye, zero, eye, zero, eye, zero,
+                                  np.zeros((1, 2), dtype=dtype), heads=2)
+            out = ad.sum_all(ad.feed_forward(ad.linear(h, eye, zero), eye, zero, eye, zero))
             assert out.dtype == dtype
             tape.backward(out)
         assert x.grad.dtype == dtype
@@ -223,19 +279,40 @@ def test_grad_matmul():
     assert_grads_match(lambda: ad.sum_all(ad.mul(ad.matmul(a, b), Tensor(r))), [a, b])
 
 
-def test_grad_bmm():
+def test_grad_linear():
     rng = np.random.default_rng(11)
-    a, b = rand64(rng, 2, 3, 4), rand64(rng, 2, 4, 5)
-    r = rng.standard_normal((2, 3, 5))
-    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.bmm(a, b), Tensor(r))), [a, b])
+    x, w, b = rand64(rng, 3, 4), rand64(rng, 4, 5), rand64(rng, 5)
+    r = rng.standard_normal((3, 5))
+    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), Tensor(r))), [x, w, b])
 
 
-def test_grad_swapaxes_reshape():
-    rng = np.random.default_rng(12)
-    x = rand64(rng, 2, 3, 4)
-    r = rng.standard_normal((4, 6))
+def test_grad_self_attention():
+    # two sequences of four, two heads; the second sequence's last key is padding
+    rng = np.random.default_rng(27)
+    x = rand64(rng, 8, 6)
+    params = [rand64(rng, *shape) for shape in ((6, 6), (6,)) * 3]
+    key_mask = np.zeros((2, 4))
+    key_mask[1, 3] = -np.inf
+    r = rng.standard_normal((8, 6))
     assert_grads_match(
-        lambda: ad.sum_all(ad.mul(ad.reshape(ad.swapaxes(x, 0, 2), (4, 6)), Tensor(r))), [x]
+        lambda: ad.sum_all(ad.mul(ad.self_attention(x, *params, key_mask, heads=2), Tensor(r))),
+        [x, *params])
+
+
+def test_grad_feed_forward():
+    rng = np.random.default_rng(28)
+    x, w1, b1, w2, b2 = rand64(rng, 5, 3), rand64(rng, 3, 4), rand64(rng, 4), rand64(rng, 4, 3), rand64(rng, 3)
+    r = rng.standard_normal((5, 3))
+    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.feed_forward(x, w1, b1, w2, b2), Tensor(r))),
+                       [x, w1, b1, w2, b2])
+
+
+def test_grad_transpose2d_reshape():
+    rng = np.random.default_rng(12)
+    x = rand64(rng, 6, 4)
+    r = rng.standard_normal((2, 12))
+    assert_grads_match(
+        lambda: ad.sum_all(ad.mul(ad.reshape(ad.transpose2d(x), (2, 12)), Tensor(r))), [x]
     )
 
 
@@ -246,12 +323,11 @@ def test_grad_add_with_bias_broadcast():
     assert_grads_match(lambda: ad.sum_all(ad.mul(ad.add(x, b), Tensor(r))), [x, b])
 
 
-def test_grad_add_const_and_scale():
+def test_grad_scale():
     rng = np.random.default_rng(14)
     x = rand64(rng, 3, 4)
-    c = rng.standard_normal((1, 4))
     r = rng.standard_normal((3, 4))
-    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.scale(ad.add_const(x, c), -1.7), Tensor(r))), [x])
+    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.scale(x, -1.7), Tensor(r))), [x])
 
 
 def test_grad_mul_broadcast():
@@ -306,10 +382,13 @@ def test_grad_sums():
 
 
 def test_grad_softmax():
+    # the attention softmax, differentiated through its scores (with a blocked key)
     rng = np.random.default_rng(21)
-    x = rand64(rng, 4, 7)
-    r = rng.standard_normal((4, 7))
-    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.softmax(x), Tensor(r))), [x])
+    scores = score_block(rng.standard_normal((7, 7)))
+    key_mask = np.array([0.0, 0.0, 0.0, -np.inf, 0.0, 0.0, 0.0])
+    r = rng.standard_normal((7, 16))
+    assert_grads_match(lambda: ad.sum_all(ad.mul(attention_probs(scores, key_mask), Tensor(r))),
+                       [scores])
 
 
 def test_grad_layer_norm():
@@ -322,10 +401,12 @@ def test_grad_layer_norm():
 
 
 def test_grad_gelu():
+    # identity weights and zero biases: feed_forward is the exact GELU
     rng = np.random.default_rng(23)
     x = rand64(rng, 5, 5)
+    eye, zero = t64(np.eye(5), req=False), t64(np.zeros(5), req=False)
     r = rng.standard_normal((5, 5))
-    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.gelu(x), Tensor(r))), [x])
+    assert_grads_match(lambda: ad.sum_all(ad.mul(ad.feed_forward(x, eye, zero, eye, zero), Tensor(r))), [x])
 
 
 def test_grad_log1p_relu():
@@ -364,19 +445,24 @@ finite_arrays = st.integers(min_value=1, max_value=4).flatmap(
 @given(finite_arrays)
 @settings(max_examples=50, deadline=None)
 def test_softmax_is_distribution(arr):
-    out = ad.softmax(Tensor(arr))
-    assert np.isfinite(out.data).all()
-    np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-9)
+    # arr's n rows score its m keys; keys past m are blocked with -inf
+    n, m = arr.shape
+    key_mask = np.where(np.arange(5) < m, 0.0, -np.inf)
+    probs = attention_probs(score_block(arr), key_mask).data[:n, :5]
+    assert np.isfinite(probs).all() and (probs[:, m:] == 0).all()
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
 
 @given(finite_arrays)
 @settings(max_examples=50, deadline=None)
 def test_finite_inputs_give_finite_grads(arr):
     x = Tensor(arr, requires_grad=True)
-    eye = Tensor(np.eye(arr.shape[1]))
+    n, m = arr.shape
+    eye, zero = Tensor(np.eye(m)), Tensor(np.zeros(m))
     with GradTape() as tape:
-        pooled = ad.splade_pool(ad.gelu(ad.scale(x, 0.1)), eye, Tensor(np.zeros(arr.shape[1])),
-                                np.ones((1, arr.shape[0]), dtype=bool))
+        h = ad.self_attention(ad.scale(x, 0.1), eye, zero, eye, zero, eye, zero, np.zeros((1, n)), heads=1)
+        pooled = ad.splade_pool(ad.feed_forward(h, eye, zero, eye, zero), eye, zero,
+                                np.ones((1, n), dtype=bool))
         loss = ad.sum_all(pooled)
         tape.backward(loss)
     assert np.isfinite(loss.data).all()
@@ -389,6 +475,6 @@ def test_cross_entropy_matches_log_softmax(arr):
     n, V = arr.shape
     targets = np.arange(n) % V
     loss = ad.softmax_cross_entropy(Tensor(arr), targets)
-    sm = ad.softmax(Tensor(arr)).data
+    sm = softmax(arr, axis=-1)
     expected = float(np.mean(-np.log(sm[np.arange(n), targets])))
     assert abs(float(loss.data) - expected) < 1e-8

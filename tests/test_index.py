@@ -8,7 +8,6 @@ import struct
 import numpy as np
 import pytest
 
-import spladapt.index
 from spladapt.index import (
     BM25_B, BM25_K1, bm25_idf, build_frequency_index,
     build_impact_index, encode_corpus, index_from_vectors, load_index,
@@ -154,18 +153,14 @@ def test_encode_corpus_keeps_exactly_the_positive_entries_of_each_encoder_row():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_encode_corpus_refuses_non_finite_encoder_rows_naming_the_text(bad, monkeypatch):
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_encode_corpus_refuses_non_finite_encoder_rows_naming_the_text(bad):
     cfg = ModelConfig(vocab_size=40, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
                       max_seq_len=12, k_domain_layers=1)
     weights = init_weights(cfg, seed=3)
     vocab = Vocabulary([f"w{i}" for i in range(35)])
-
-    def poisoned(w, ids):  # every encoded row gets a non-finite weight for term 7
-        out = encode_sparse_batch(w, ids)
-        out.data[:, 7] = bad
-        return out
-
-    monkeypatch.setattr(spladapt.index, "encode_sparse_batch", poisoned)
+    # the layer norm after it turns every hidden state, and so every logit, NaN
+    weights["layer.1.ffn.b2"].data[0] = bad
     with pytest.raises(ValueError, match="'d1'"):
         encode_corpus(weights, {"d0": "unknown", "d1": "w1 w2", "d2": "w3"}, vocab)
     with pytest.raises(ValueError, match="'q9'"):

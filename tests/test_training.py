@@ -382,6 +382,40 @@ def test_freeze_changes_no_trained_gradient():
     assert n_ops < full_ops
 
 
+def test_fused_ops_with_frozen_weights_still_pass_the_input_gradient():
+    # pretraining freezes whole upper layers, whose ops must still carry the
+    # gradient back to their input: bit-equal to an all-trainable backward,
+    # with no gradient on any frozen weight
+    rng = np.random.default_rng(8)
+
+    def param(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    key_mask = np.zeros((2, 3), dtype=np.float32)
+    key_mask[1, 2] = -np.inf
+    x = param(6, 8)
+    ops = {
+        "linear": (ad.linear, [param(8, 5), param(5)]),
+        "self_attention": (lambda *a: ad.self_attention(*a, key_mask, heads=2),
+                           [param(*shape) for shape in ((8, 8), (8,)) * 3]),
+        "feed_forward": (ad.feed_forward, [param(8, 16), param(16), param(16, 8), param(8)]),
+    }
+    for name, (op, weights) in ops.items():
+        def input_grad():
+            x.grad = None
+            with GradTape() as tape:
+                out = op(x, *weights)
+                tape.backward(ad.sum_all(ad.mul(out, out)))
+            return x.grad
+
+        full = input_grad()
+        assert all(w.grad is not None for w in weights), name
+        for w in weights:
+            w.grad, w.requires_grad = None, False
+        assert input_grad().tobytes() == full.tobytes(), name
+        assert all(w.grad is None for w in weights), name
+
+
 def test_stages_return_trainable_weights_and_leave_input_unchanged():
     vocab = make_vocab()
     base = base_ckpt(seed=8)
