@@ -3,9 +3,9 @@ sparse document/query representations derived from it: a SparseVector is two
 numpy arrays, ascending term ids (int64) and their finite positive weights
 (float64).
 
-A layer is three fused autodiff ops, ad.self_attention, ad.linear (the
-attention output projection) and ad.feed_forward, each followed by a
-residual ad.add and an ad.layer_norm.
+A layer is three fused autodiff ops plus two residual layer norms:
+ad.self_attention and ad.linear (its output projection), then ad.add of the
+residual and ad.layer_norm; ad.feed_forward, then the same again.
 
 A representation weight for vocabulary term j is
     w_j = log(1 + relu(max_i logit_ij))

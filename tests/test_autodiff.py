@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import softmax
 
-
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
 
