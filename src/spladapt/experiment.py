@@ -5,6 +5,12 @@ Report rows for one adaptation experiment on the target domain:
     zeroshot   the fine-tuned source model applied to the target as-is
     composed   target-domain subset grafted onto the fine-tuned task subset
 Significance is paired on per-query nDCG against both baselines.
+
+Where BLAS is pinned to at most half the cores (_fork.fork_pays), parts
+that read nothing of each other run in a forked worker process beside the
+caller: the fine-tune from base in benchmark_variants, and the sparse
+report rows other than the primary one in build_report. Every file a run writes keeps
+its bytes; only timing and peak-RSS fields of stage logs differ.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
+from ._fork import forked
 from .data import Dataset
 from .evaluation import (
     EvalReport, MethodResult, sparsity_stats, write_run,
@@ -20,7 +27,7 @@ from .index import (
     InvertedIndex, RankedList, build_frequency_index, encode_corpus,
     index_from_vectors, retrieve_bm25, retrieve_sparse, save_index,
 )
-from .model import EncoderWeights, SparseVector
+from .model import EncoderWeights, SparseVector, init_weights
 from .params import Checkpoint, compose, save_checkpoint
 from .training import PipelineSpec, finetune_ir, run_pipeline
 from .vocab import Vocabulary, tokenize
@@ -84,16 +91,22 @@ def build_report(named_weights: dict[str, EncoderWeights], target: Dataset, voca
     workdir, indexes, run files, report.json, and report.txt are persisted."""
     if primary not in named_weights:
         raise ValueError(f"primary method {primary!r} has no weights")
-    bm25_res, bm25_runs, bm25_index = bm25_method("bm25", target, vocab, cutoff)
-    methods = [bm25_res]
-    all_runs = {"bm25": bm25_runs}
-    primary_index = None
-    for name, weights in named_weights.items():
-        res, runs, index = sparse_method(name, weights, target, vocab, cutoff)
-        methods.append(res)
-        all_runs[name] = runs
-        if name == primary:
-            primary_index = index
+
+    # Rows read nothing of each other. A forked worker builds every sparse
+    # row but the primary and sends back (result, runs); the caller builds
+    # bm25 and the primary row, whose index it saves.
+    def other_rows() -> dict[str, tuple[MethodResult, dict[str, RankedList]]]:
+        return {name: sparse_method(name, weights, target, vocab, cutoff)[:2]
+                for name, weights in named_weights.items() if name != primary}
+
+    with forked(other_rows) as forked_rows:
+        bm25_res, bm25_runs, bm25_index = bm25_method("bm25", target, vocab, cutoff)
+        primary_res, primary_runs, primary_index = sparse_method(
+            primary, named_weights[primary], target, vocab, cutoff)
+        rows = forked_rows()
+    rows[primary] = (primary_res, primary_runs)
+    methods = [bm25_res] + [rows[name][0] for name in named_weights]
+    all_runs = {"bm25": bm25_runs} | {name: rows[name][1] for name in named_weights}
 
     report = EvalReport(dataset=dataset_name, cutoff=cutoff, metric_depth=10,
                         methods=methods, metadata=metadata or {})
@@ -159,14 +172,19 @@ def benchmark_variants(spec: PipelineSpec, source: Dataset, target: Dataset, voc
     """
     if spec.mode != "full":
         raise ValueError(f"variant benchmark starts from mode 'full', got {spec.mode!r}")
-    checkpoints = run_pipeline(spec, source.docs, target.docs, source.triples, vocab,
-                               workdir=workdir)
     log_path = None
     if workdir is not None:
         (Path(workdir) / "logs").mkdir(parents=True, exist_ok=True)
         log_path = Path(workdir) / "logs" / "finetune_from_base.jsonl"
-    c_base = finetune_ir(checkpoints["base"], source.triples, source.docs, vocab,
-                         spec.finetune_stage(), log_path=log_path)
+    # the same seeded base run_pipeline starts from; the fine-tune from it
+    # reads nothing else, so it runs in a forked worker beside the pipeline
+    # where that pays
+    base = Checkpoint(init_weights(spec.model, seed=spec.seed), stage="base")
+    with forked(lambda: finetune_ir(base, source.triples, source.docs, vocab,
+                                    spec.finetune_stage(), log_path=log_path)) as finetuned_from_base:
+        checkpoints = run_pipeline(spec, source.docs, target.docs, source.triples, vocab,
+                                   workdir=workdir)
+        c_base = finetuned_from_base()
     wo_source = compose(checkpoints["pretrain_target"], c_base)
     checkpoints["finetune_from_base"] = c_base
     checkpoints["wo_source"] = wo_source

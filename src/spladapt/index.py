@@ -294,6 +294,13 @@ def load_index(path: str | Path) -> InvertedIndex:
                          f"or bytes follow the last doc")
     if n_docs != meta["n_docs"]:
         raise ValueError(f"{path}: docstore holds {n_docs} docs, meta says {meta['n_docs']}")
+    if not n_docs:
+        raise ValueError(f"{path / 'docstore.bin'}: holds no docs")
+    # no checksum covers meta.json, so avgdl is recomputed as _index computes it
+    avgdl = sum(doc_lengths.values()) / n_docs
+    if meta["avgdl"] != avgdl:
+        raise ValueError(f"{meta_path}: field 'avgdl' is {meta['avgdl']!r}, but the docstore "
+                         f"lengths give {avgdl!r}")
 
     post_path = path / "postings.bin"
     try:
@@ -323,5 +330,4 @@ def load_index(path: str | Path) -> InvertedIndex:
             raise ValueError(f"{post_path}: term {term[bad.argmax()]} {what}")
     matrix = sp.csr_array((cells["w"][is_record].astype(np.float64), (pos, term_of)),
                           shape=(n_docs, tids.max(initial=-1) + 1))
-    return InvertedIndex(kind=meta["kind"], matrix=matrix, doc_lengths=doc_lengths,
-                         avgdl=meta["avgdl"])
+    return InvertedIndex(kind=meta["kind"], matrix=matrix, doc_lengths=doc_lengths, avgdl=avgdl)

@@ -20,12 +20,18 @@ resulting checkpoints are bit-reproducible on one numpy/BLAS build at one
 BLAS thread count. Across thread counts, matrix products sum in a different
 order, and training amplifies the last-bit differences (up to ~3e-3 in
 single weights between 1 and 2 OpenBLAS threads at 200 MLM steps).
+
+Seeded stages also make the two chains of run_pipeline independent:
+pretrain_target reads only the base. Where BLAS is pinned to at most half
+the cores (_fork.fork_pays), it runs in a forked worker process beside
+pretrain_source -> finetune_source, and its checkpoint keeps its bytes.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from ._fork import forked
 from .autodiff import GradTape, Tensor
 from .data import TrainTriple
 from .model import EncoderWeights, ModelConfig, encode_sparse_batch, init_weights, mlm_logits
@@ -140,7 +147,9 @@ class StageSpec:
 
 
 class _StageLog:
-    """JSON lines, each stamped with wall_s: seconds since the stage started."""
+    """JSON lines, each stamped with wall_s, seconds since the stage started,
+    and maxrss_mb, the peak resident set of the process running the stage
+    so far (a forked worker's own)."""
 
     def __init__(self, path: str | Path | None):
         self._fh = open(path, "w", encoding="utf-8") if path else None
@@ -148,7 +157,8 @@ class _StageLog:
 
     def write(self, record: dict) -> None:
         if self._fh:
-            record = {**record, "wall_s": time.perf_counter() - self._start}
+            record = {**record, "wall_s": time.perf_counter() - self._start,
+                      "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
             self._fh.write(json.dumps(record) + "\n")
 
     def close(self) -> None:
@@ -384,6 +394,10 @@ def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: d
 
     With a workdir, each checkpoint lands in workdir/checkpoints/<stage> and
     each stage appends a JSONL training log under workdir/logs/.
+
+    pretrain_target runs in a forked worker beside the source stages when
+    _fork.fork_pays(), and inline after them otherwise; the checkpoints are
+    the same bytes either way.
     """
     partition_parameters(spec.model)  # validates k before any training
     ckpt_dir = log_dir = None
@@ -400,28 +414,30 @@ def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: d
     base = Checkpoint(init_weights(spec.model, seed=spec.seed), stage="base")
     out["base"] = base
 
-    if spec.mode == "full":
-        log.info("pretraining on source corpus (%d docs)", len(source_docs))
-        out["pretrain_source"] = pretrain_mlm(
-            base, list(source_docs.values()), vocab,
-            spec.pretrain_stage("pretrain_source"), log_path("pretrain_source"))
-    if spec.mode in ("full", "wo_source"):
-        log.info("pretraining on target corpus (%d docs)", len(target_docs))
-        out["pretrain_target"] = pretrain_mlm(
-            base, list(target_docs.values()), vocab,
-            spec.pretrain_stage("pretrain_target"), log_path("pretrain_target"))
+    def pretrain(stage: str, docs: dict[str, str]) -> Checkpoint:
+        log.info("pretraining on %s corpus (%d docs)", stage.removeprefix("pretrain_"), len(docs))
+        return pretrain_mlm(base, list(docs.values()), vocab, spec.pretrain_stage(stage),
+                            log_path(stage))
 
-    finetune_init = out.get("pretrain_source", base)
-    log.info("fine-tuning on %d triples from %r", len(triples), finetune_init.stage)
-    out["finetune_source"] = finetune_ir(
-        finetune_init, list(triples), source_docs, vocab,
-        spec.finetune_stage(), log_path("finetune_source"))
+    def finetune(init: Checkpoint) -> Checkpoint:
+        log.info("fine-tuning on %d triples from %r", len(triples), init.stage)
+        return finetune_ir(init, list(triples), source_docs, vocab, spec.finetune_stage(),
+                           log_path("finetune_source"))
 
     if spec.mode == "wo_pretraining":
+        out["finetune_source"] = finetune(base)
         out["composed"] = out["finetune_source"].derive(
             "composed", parents=[out["finetune_source"].parent_ref()])
     else:
-        out["composed"] = compose(out["pretrain_target"], out["finetune_source"])
+        # the target pretrain reads no source stage: it runs in a forked
+        # worker beside the source chain where that pays
+        with forked(lambda: pretrain("pretrain_target", target_docs)) as pretrained_target:
+            if spec.mode == "full":
+                out["pretrain_source"] = pretrain("pretrain_source", source_docs)
+            finetuned = finetune(out.get("pretrain_source", base))
+            out["pretrain_target"] = pretrained_target()
+        out["finetune_source"] = finetuned
+        out["composed"] = compose(out["pretrain_target"], finetuned)
 
     if ckpt_dir is not None:
         for stage, ckpt in out.items():

@@ -1,0 +1,152 @@
+"""The forked stage worker: when it is used, that outputs keep their bytes
+on it, and that errors and children never escape it."""
+
+import json
+import multiprocessing
+import os
+import threading
+import time
+
+import pytest
+
+from spladapt import _fork
+from spladapt.data import Dataset
+from spladapt.experiment import benchmark_variants
+from spladapt.model import ModelConfig
+from spladapt.synth import SynthSpec, generate
+from spladapt.training import PipelineSpec
+from spladapt.vocab import build_vocabulary
+
+
+def pin(monkeypatch, cores, **threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    for var in _fork.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, n in threads.items():
+        monkeypatch.setenv(var, n)
+
+
+@pytest.mark.parametrize("cores, threads, pays", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    (8, {"OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "2"}, True),
+    (2, {}, False),                                                   # unpinned
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, False),                        # one core
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, False),                        # threads > cores / 2
+    (8, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "5"}, False),  # one pin too wide
+    (4, {"OPENBLAS_NUM_THREADS": "0"}, False),
+    (4, {"OPENBLAS_NUM_THREADS": "auto"}, False),
+], ids=["pinned-1-of-2", "pinned-2-of-8", "unpinned", "one-core", "over-half", "one-wide",
+        "zero", "not-a-number"])
+def test_fork_pays_only_with_blas_pinned_to_half_the_cores(monkeypatch, cores, threads, pays):
+    pin(monkeypatch, cores, **threads)
+    assert _fork.fork_pays() is pays
+
+
+def test_fork_pays_needs_the_fork_start_method(monkeypatch):
+    pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert not _fork.fork_pays()
+
+
+def test_fork_pays_not_beside_another_thread(monkeypatch):
+    pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    assert _fork.fork_pays()
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert not _fork.fork_pays()
+    finally:
+        done.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.fixture(params=[True, False], ids=["child", "inline"])
+def path(request, monkeypatch):
+    monkeypatch.setattr(_fork, "fork_pays", lambda: request.param)
+    return request.param
+
+
+def test_result_comes_back_from_the_child_and_inline(path):
+    parent = os.getpid()
+    with _fork.forked(lambda: (os.getpid(), list(range(5)))) as result:
+        pid, value = result()
+    assert value == [0, 1, 2, 3, 4]
+    assert (pid != parent) is path
+    assert multiprocessing.active_children() == []
+
+
+def test_a_result_larger_than_the_pipe_buffer_arrives(path):
+    with _fork.forked(lambda: b"x" * (4 << 20)) as result:
+        assert len(result()) == 4 << 20
+    assert multiprocessing.active_children() == []
+
+
+def tiny_benchmark():
+    source, target = generate(SynthSpec(n_topics=2, shared_vocab=16, exclusive_vocab=6,
+                                        docs_per_domain=24, queries_per_domain=6, seed=5))
+    vocab = build_vocabulary([source.docs.values(), target.docs.values()], max_size=200)
+    model = ModelConfig(vocab_size=len(vocab), n_layers=2, d_model=16, n_heads=2, d_ffn=32,
+                        max_seq_len=32, k_domain_layers=1)
+    spec = PipelineSpec(model=model, seed=4, pretrain_steps=6, finetune_steps=6, batch_size=4)
+    return spec, source, target, vocab
+
+
+def test_a_stage_error_in_the_child_reaches_the_caller_as_inline(path):
+    spec, source, target, vocab = tiny_benchmark()
+    # no target doc holds a vocabulary term, so the target pretrain refuses it
+    no_content = Dataset(docs={d: "zz yy" for d in target.docs}, queries=target.queries,
+                         qrels=target.qrels)
+    with pytest.raises(ValueError) as exc:
+        benchmark_variants(spec, source, no_content, vocab, cutoff=5)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "no document in the corpus has content tokens"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_caller_error_stops_the_child_in_flight(path):
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError, match="caller"):
+        with _fork.forked(lambda: time.sleep(60)):
+            raise KeyError("caller")
+    assert time.perf_counter() - t0 < 10.0  # terminated, not waited for
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_is_reported(monkeypatch):
+    monkeypatch.setattr(_fork, "fork_pays", lambda: True)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        with _fork.forked(lambda: os._exit(3)) as result:
+            result()
+    assert multiprocessing.active_children() == []
+
+
+def _workdir_files(root):
+    """Every file under root as bytes, with the per-record timing and RSS
+    fields dropped from the stage logs."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if not path.is_file():
+            continue
+        raw = path.read_bytes()
+        if path.suffix == ".jsonl":
+            records = [json.loads(line) for line in raw.splitlines()]
+            for r in records:
+                assert r.pop("wall_s") >= 0.0 and r.pop("maxrss_mb") > 0.0
+            raw = json.dumps(records).encode()
+        out[str(path.relative_to(root))] = raw
+    return out
+
+
+def test_benchmark_variants_writes_the_same_bytes_on_either_path(tmp_path, monkeypatch):
+    spec, source, target, vocab = tiny_benchmark()
+    files = {}
+    for forks in (True, False):
+        monkeypatch.setattr(_fork, "fork_pays", lambda: forks)
+        benchmark_variants(spec, source, target, vocab, cutoff=10, workdir=tmp_path / str(forks))
+        assert multiprocessing.active_children() == []
+        files[forks] = _workdir_files(tmp_path / str(forks))
+    assert len(files[True]) >= 30
+    assert files[True].keys() == files[False].keys()
+    assert [f for f in files[True] if files[True][f] != files[False][f]] == []

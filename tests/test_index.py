@@ -420,6 +420,23 @@ def test_malformed_meta_names_file_and_field(tmp_path, edit, field):
     assert str(meta_path) in str(exc.value) and field in str(exc.value)
 
 
+@pytest.mark.parametrize("avgdl", [0, -1.0, 7.0], ids=["zero", "negative", "wrong"])
+def test_meta_avgdl_that_disagrees_with_the_docstore_is_rejected(tmp_path, avgdl):
+    # no checksum covers meta.json: an avgdl of 0 ranked nothing, -1
+    # reordered results and 7 changed every score, all silently
+    vocab = Vocabulary(["cat", "dog"])
+    path = tmp_path / "fidx"
+    save_index(build_frequency_index({"d1": "cat dog cat", "d2": "dog"}, vocab), path)
+    assert load_index(path).avgdl == 2.0
+    meta_path = path / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["avgdl"] = avgdl
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError) as exc:
+        load_index(path)
+    assert str(meta_path) in str(exc.value) and "avgdl" in str(exc.value)
+
+
 def write_postings(path, post):
     """Replace postings.bin and its checksum, so only the parser can object."""
     (path / "postings.bin").write_bytes(post)

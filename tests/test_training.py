@@ -326,10 +326,13 @@ def test_finetune_loss_and_log(tmp_path):
                 log_path=log_path)
     records = [json.loads(ln) for ln in log_path.read_text().splitlines()]
     assert len(records) == 5
-    assert all(set(r) == {"step", "stage", "loss", "flops_term", "wall_s"} for r in records)
+    assert all(set(r) == {"step", "stage", "loss", "flops_term", "wall_s", "maxrss_mb"}
+               for r in records)
     assert all(r["stage"] == "finetune_source" for r in records)
     walls = [r["wall_s"] for r in records]
     assert walls[0] >= 0.0 and walls == sorted(walls)
+    peaks = [r["maxrss_mb"] for r in records]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
 
 
 def _grads_with_frozen(weights, frozen, forward):
