@@ -6,11 +6,12 @@ Report rows for one adaptation experiment on the target domain:
     composed   target-domain subset grafted onto the fine-tuned task subset
 Significance is paired on per-query nDCG against both baselines.
 
-Where BLAS is pinned to at most half the cores (_fork.fork_pays), parts
-that read nothing of each other run in a forked worker process beside the
-caller: the fine-tune from base in benchmark_variants, and the sparse
-report rows other than the primary one in build_report. Every file a run writes keeps
-its bytes; only timing and peak-RSS fields of stage logs differ.
+Where BLAS is pinned so that a worker gets cores of its own
+(_fork.fork_pays), parts that read nothing of each other run in one forked
+worker process beside the caller: in build_report, the sparse rows other
+than the primary one; in benchmark_variants, a whole lane of stages and
+rows, streamed back as each is made. Every file a run writes keeps its
+bytes; only timing and peak-RSS fields of stage logs differ.
 """
 
 from __future__ import annotations
@@ -27,9 +28,14 @@ from .index import (
     InvertedIndex, RankedList, build_frequency_index, encode_corpus,
     index_from_vectors, retrieve_bm25, retrieve_sparse, save_index,
 )
-from .model import EncoderWeights, SparseVector, init_weights
-from .params import Checkpoint, compose, save_checkpoint
-from .training import PipelineSpec, finetune_ir, run_pipeline
+from .model import EncoderWeights, SparseVector
+from .params import Checkpoint, compose
+from .training import PipelineSpec, _Stages, run_pipeline
+
+# Stages save and fine-tune through training._Stages. These two names stay
+# importable from here because bench/tracing.py patches them in this module.
+from .params import save_checkpoint  # noqa: F401,E402
+from .training import finetune_ir  # noqa: F401,E402
 from .vocab import Vocabulary, tokenize
 
 __all__ = [
@@ -95,19 +101,30 @@ def build_report(named_weights: dict[str, EncoderWeights], target: Dataset, voca
     # Rows read nothing of each other. A forked worker builds every sparse
     # row but the primary and sends back (result, runs); the caller builds
     # bm25 and the primary row, whose index it saves.
-    def other_rows() -> dict[str, tuple[MethodResult, dict[str, RankedList]]]:
-        return {name: sparse_method(name, weights, target, vocab, cutoff)[:2]
-                for name, weights in named_weights.items() if name != primary}
+    def other_rows():
+        yield {name: sparse_method(name, weights, target, vocab, cutoff)[:2]
+               for name, weights in named_weights.items() if name != primary}
 
-    with forked(other_rows) as forked_rows:
-        bm25_res, bm25_runs, bm25_index = bm25_method("bm25", target, vocab, cutoff)
+    with forked(other_rows()) as forked_rows:
+        bm25 = bm25_method("bm25", target, vocab, cutoff)
         primary_res, primary_runs, primary_index = sparse_method(
             primary, named_weights[primary], target, vocab, cutoff)
         rows = forked_rows()
     rows[primary] = (primary_res, primary_runs)
-    methods = [bm25_res] + [rows[name][0] for name in named_weights]
-    all_runs = {"bm25": bm25_runs} | {name: rows[name][1] for name in named_weights}
+    return _finish_report(bm25, {name: rows[name] for name in named_weights}, primary,
+                          primary_index, cutoff, dataset_name, metadata, workdir)
 
+
+def _finish_report(bm25: tuple[MethodResult, dict[str, RankedList], InvertedIndex],
+                   rows: dict[str, tuple[MethodResult, dict[str, RankedList]]], primary: str,
+                   primary_index: InvertedIndex, cutoff: int, dataset_name: str,
+                   metadata: dict | None, workdir: str | Path | None) -> EvalReport:
+    """The report of the bm25 row and the sparse rows, in rows' order, with
+    the primary row significance-tested against every other. With a
+    workdir, the run files, both indexes, report.json and report.txt are
+    written."""
+    bm25_res, bm25_runs, bm25_index = bm25
+    methods = [bm25_res] + [res for res, _ in rows.values()]
     report = EvalReport(dataset=dataset_name, cutoff=cutoff, metric_depth=10,
                         methods=methods, metadata=metadata or {})
     for m in methods:
@@ -118,6 +135,7 @@ def build_report(named_weights: dict[str, EncoderWeights], target: Dataset, voca
         workdir = Path(workdir)
         runs_dir = workdir / "runs"
         runs_dir.mkdir(parents=True, exist_ok=True)
+        all_runs = {"bm25": bm25_runs} | {name: runs for name, (_, runs) in rows.items()}
         for tag, runs in all_runs.items():
             write_run(runs, runs_dir / f"{tag}.trec", tag=tag)
         save_index(bm25_index, workdir / "indexes" / "target_frequency")
@@ -169,41 +187,57 @@ def benchmark_variants(spec: PipelineSpec, source: Dataset, target: Dataset, voc
         wo_pretraining  fine-tune from base, applied unchanged
     All variants share the base weights, the target pretrain, and the
     fine-tuning data order, so rows differ only in the ablated ingredient.
+
+    The stages run in two lanes. A forked worker, where _fork.fork_pays(),
+    runs the target pretrain, the fine-tune from base, the wo_source
+    compose and the two ablation rows, handing back each result as it is
+    made. The caller runs the source pretrain and fine-tune, the zeroshot
+    and bm25 rows, then the composed checkpoint and row from the target
+    pretrain the worker sent, and writes every file. Without the worker the
+    same calls run inline, and every file keeps its bytes.
     """
     if spec.mode != "full":
         raise ValueError(f"variant benchmark starts from mode 'full', got {spec.mode!r}")
-    log_path = None
-    if workdir is not None:
-        (Path(workdir) / "logs").mkdir(parents=True, exist_ok=True)
-        log_path = Path(workdir) / "logs" / "finetune_from_base.jsonl"
-    # the same seeded base run_pipeline starts from; the fine-tune from it
-    # reads nothing else, so it runs in a forked worker beside the pipeline
-    # where that pays
-    base = Checkpoint(init_weights(spec.model, seed=spec.seed), stage="base")
-    with forked(lambda: finetune_ir(base, source.triples, source.docs, vocab,
-                                    spec.finetune_stage(), log_path=log_path)) as finetuned_from_base:
-        checkpoints = run_pipeline(spec, source.docs, target.docs, source.triples, vocab,
-                                   workdir=workdir)
-        c_base = finetuned_from_base()
-    wo_source = compose(checkpoints["pretrain_target"], c_base)
-    checkpoints["finetune_from_base"] = c_base
-    checkpoints["wo_source"] = wo_source
-    if workdir is not None:
-        vdir = Path(workdir) / "variants"
-        save_checkpoint(c_base, vdir / "finetune_from_base")
-        save_checkpoint(wo_source, vdir / "wo_source")
+    stages = _Stages(spec, source.docs, target.docs, source.triples, vocab, workdir)
 
-    named = {
-        "zeroshot": checkpoints["finetune_source"].weights,
-        "composed": checkpoints["composed"].weights,
-        "wo_source": wo_source.weights,
-        "wo_pretraining": c_base.weights,
-    }
+    def worker_lane():
+        pretrained_target = stages.pretrain("pretrain_target")
+        yield pretrained_target
+        c_base = stages.finetune(stages.base, log_name="finetune_from_base")
+        yield c_base
+        wo_source = compose(pretrained_target, c_base)
+        yield wo_source
+        for name, ckpt in (("wo_source", wo_source), ("wo_pretraining", c_base)):
+            yield sparse_method(name, ckpt.weights, target, vocab, cutoff)[:2]
+
+    with forked(worker_lane()) as from_worker:
+        pretrained_source = stages.pretrain("pretrain_source")
+        finetuned = stages.finetune(pretrained_source)
+        zeroshot = sparse_method("zeroshot", finetuned.weights, target, vocab, cutoff)[:2]
+        bm25 = bm25_method("bm25", target, vocab, cutoff)
+        pretrained_target = from_worker()
+        composed = compose(pretrained_target, finetuned)
+        primary_res, primary_runs, primary_index = sparse_method(
+            "composed", composed.weights, target, vocab, cutoff)
+        c_base = from_worker()
+        wo_source = from_worker()
+        wo_source_row = from_worker()
+        wo_pretraining_row = from_worker()
+
+    rows = {"zeroshot": zeroshot, "composed": (primary_res, primary_runs),
+            "wo_source": wo_source_row, "wo_pretraining": wo_pretraining_row}
+
+    checkpoints = {"base": stages.base, "pretrain_source": pretrained_source,
+                   "pretrain_target": pretrained_target, "finetune_source": finetuned,
+                   "composed": composed}
+    stages.save("checkpoints", checkpoints)
+    variants = {"finetune_from_base": c_base, "wo_source": wo_source}
+    stages.save("variants", variants)
     metadata = {"mode": "full+variants", "seed": spec.seed, "k": spec.model.k_domain_layers,
                 "pretrain_steps": spec.pretrain_steps, "finetune_steps": spec.finetune_steps}
-    report = build_report(named, target, vocab, cutoff=cutoff, metadata=metadata,
-                          workdir=workdir)
-    return checkpoints, report
+    report = _finish_report(bm25, rows, "composed", primary_index, cutoff, "target", metadata,
+                            workdir)
+    return checkpoints | variants, report
 
 
 def sweep_k(spec: PipelineSpec, k_values: list[int], source: Dataset, target: Dataset,

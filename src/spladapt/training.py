@@ -22,9 +22,12 @@ order, and training amplifies the last-bit differences (up to ~3e-3 in
 single weights between 1 and 2 OpenBLAS threads at 200 MLM steps).
 
 Seeded stages also make the two chains of run_pipeline independent:
-pretrain_target reads only the base. Where BLAS is pinned to at most half
-the cores (_fork.fork_pays), it runs in a forked worker process beside
-pretrain_source -> finetune_source, and its checkpoint keeps its bytes.
+pretrain_target reads only the base. Where BLAS is pinned so that a worker
+gets cores of its own (_fork.fork_pays), it runs in a forked worker process
+beside pretrain_source -> finetune_source, and its checkpoint keeps its
+bytes. _Stages holds the wiring every stage shares (the seeded base, stage
+specs, log and checkpoint paths), so run_pipeline and
+experiment.benchmark_variants differ only in how they schedule the stages.
 """
 
 from __future__ import annotations
@@ -379,6 +382,46 @@ class PipelineSpec:
                          lambda_q=self.lambda_q, lambda_d=self.lambda_d)
 
 
+class _Stages:
+    """The stage, log and checkpoint wiring of one experiment.
+
+    Every stage starts from the same seeded base, takes its StageSpec from
+    the PipelineSpec, and with a workdir writes its JSONL log to
+    workdir/logs/<name>.jsonl; save() writes checkpoints under workdir.
+    run_pipeline and experiment.benchmark_variants schedule the stages.
+    """
+
+    def __init__(self, spec: PipelineSpec, source_docs: dict[str, str],
+                 target_docs: dict[str, str], triples: Sequence[TrainTriple], vocab: Vocabulary,
+                 workdir: str | Path | None):
+        partition_parameters(spec.model)  # validates k before any training
+        self.spec, self.vocab, self.triples = spec, vocab, list(triples)
+        self.source_docs, self.target_docs = source_docs, target_docs
+        self.workdir = None if workdir is None else Path(workdir)
+        if self.workdir is not None:
+            (self.workdir / "logs").mkdir(parents=True, exist_ok=True)
+        self.base = Checkpoint(init_weights(spec.model, seed=spec.seed), stage="base")
+
+    def _log_path(self, name: str) -> Path | None:
+        return None if self.workdir is None else self.workdir / "logs" / f"{name}.jsonl"
+
+    def pretrain(self, stage: str) -> Checkpoint:
+        docs = self.source_docs if stage == "pretrain_source" else self.target_docs
+        log.info("pretraining on %s corpus (%d docs)", stage.removeprefix("pretrain_"), len(docs))
+        return pretrain_mlm(self.base, list(docs.values()), self.vocab,
+                            self.spec.pretrain_stage(stage), self._log_path(stage))
+
+    def finetune(self, init: Checkpoint, log_name: str = "finetune_source") -> Checkpoint:
+        log.info("fine-tuning on %d triples from %r", len(self.triples), init.stage)
+        return finetune_ir(init, self.triples, self.source_docs, self.vocab,
+                           self.spec.finetune_stage(), self._log_path(log_name))
+
+    def save(self, subdir: str, checkpoints: dict[str, Checkpoint]) -> None:
+        if self.workdir is not None:
+            for name, ckpt in checkpoints.items():
+                save_checkpoint(ckpt, self.workdir / subdir / name)
+
+
 def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: dict[str, str],
                  triples: Sequence[TrainTriple], vocab: Vocabulary,
                  workdir: str | Path | None = None) -> dict[str, Checkpoint]:
@@ -399,47 +442,24 @@ def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: d
     _fork.fork_pays(), and inline after them otherwise; the checkpoints are
     the same bytes either way.
     """
-    partition_parameters(spec.model)  # validates k before any training
-    ckpt_dir = log_dir = None
-    if workdir is not None:
-        workdir = Path(workdir)
-        ckpt_dir = workdir / "checkpoints"
-        log_dir = workdir / "logs"
-        log_dir.mkdir(parents=True, exist_ok=True)
-
-    def log_path(stage: str):
-        return (log_dir / f"{stage}.jsonl") if log_dir else None
-
-    out: dict[str, Checkpoint] = {}
-    base = Checkpoint(init_weights(spec.model, seed=spec.seed), stage="base")
-    out["base"] = base
-
-    def pretrain(stage: str, docs: dict[str, str]) -> Checkpoint:
-        log.info("pretraining on %s corpus (%d docs)", stage.removeprefix("pretrain_"), len(docs))
-        return pretrain_mlm(base, list(docs.values()), vocab, spec.pretrain_stage(stage),
-                            log_path(stage))
-
-    def finetune(init: Checkpoint) -> Checkpoint:
-        log.info("fine-tuning on %d triples from %r", len(triples), init.stage)
-        return finetune_ir(init, list(triples), source_docs, vocab, spec.finetune_stage(),
-                           log_path("finetune_source"))
-
+    stages = _Stages(spec, source_docs, target_docs, triples, vocab, workdir)
+    out: dict[str, Checkpoint] = {"base": stages.base}
     if spec.mode == "wo_pretraining":
-        out["finetune_source"] = finetune(base)
+        out["finetune_source"] = stages.finetune(stages.base)
         out["composed"] = out["finetune_source"].derive(
             "composed", parents=[out["finetune_source"].parent_ref()])
     else:
+        def target_lane():
+            yield stages.pretrain("pretrain_target")
+
         # the target pretrain reads no source stage: it runs in a forked
         # worker beside the source chain where that pays
-        with forked(lambda: pretrain("pretrain_target", target_docs)) as pretrained_target:
+        with forked(target_lane()) as pretrained_target:
             if spec.mode == "full":
-                out["pretrain_source"] = pretrain("pretrain_source", source_docs)
-            finetuned = finetune(out.get("pretrain_source", base))
+                out["pretrain_source"] = stages.pretrain("pretrain_source")
+            finetuned = stages.finetune(out.get("pretrain_source", stages.base))
             out["pretrain_target"] = pretrained_target()
         out["finetune_source"] = finetuned
         out["composed"] = compose(out["pretrain_target"], finetuned)
-
-    if ckpt_dir is not None:
-        for stage, ckpt in out.items():
-            save_checkpoint(ckpt, ckpt_dir / stage)
+    stages.save("checkpoints", out)
     return out

@@ -1,5 +1,6 @@
-"""The forked stage worker: when it is used, that outputs keep their bytes
-on it, and that errors and children never escape it."""
+"""The forked stage worker: when it is used, that it streams results in
+order, that outputs keep their bytes on it, that the variant benchmark
+keeps one worker at a time, and that errors and children never escape it."""
 
 import json
 import multiprocessing
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from spladapt import _fork
+from spladapt import _fork, experiment, training
 from spladapt.data import Dataset
 from spladapt.experiment import benchmark_variants
 from spladapt.model import ModelConfig
@@ -62,6 +63,26 @@ def test_fork_pays_not_beside_another_thread(monkeypatch):
     assert not other.is_alive()
 
 
+def no_worker_left():
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("cores, nests", [(2, False), (4, True)])
+def test_a_forked_block_nested_in_another_forks_only_with_a_core_for_it(monkeypatch, cores, nests):
+    pin(monkeypatch, cores, OPENBLAS_NUM_THREADS="1")
+    caller = os.getpid()
+
+    def pid():
+        yield os.getpid()
+
+    with _fork.forked(pid()) as outer:
+        with _fork.forked(pid()) as inner:
+            assert (inner() != caller) is nests
+        assert outer() != caller
+    no_worker_left()
+
+
 @pytest.fixture(params=[True, False], ids=["child", "inline"])
 def path(request, monkeypatch):
     monkeypatch.setattr(_fork, "fork_pays", lambda: request.param)
@@ -69,18 +90,46 @@ def path(request, monkeypatch):
 
 
 def test_result_comes_back_from_the_child_and_inline(path):
+    """Several results, in the order they were yielded."""
     parent = os.getpid()
-    with _fork.forked(lambda: (os.getpid(), list(range(5)))) as result:
-        pid, value = result()
-    assert value == [0, 1, 2, 3, 4]
-    assert (pid != parent) is path
-    assert multiprocessing.active_children() == []
+
+    def results():
+        for i in range(5):
+            yield os.getpid(), [i] * i
+
+    with _fork.forked(results()) as next_result:
+        got = [next_result() for _ in range(5)]
+    assert [value for _, value in got] == [[i] * i for i in range(5)]
+    assert {pid != parent for pid, _ in got} == {path}
+    no_worker_left()
 
 
 def test_a_result_larger_than_the_pipe_buffer_arrives(path):
-    with _fork.forked(lambda: b"x" * (4 << 20)) as result:
-        assert len(result()) == 4 << 20
-    assert multiprocessing.active_children() == []
+    """A 4 MB first result does not hold up the child's next one while the
+    caller is busy; inline, each result is made when it is asked for."""
+    def results():
+        yield b"x" * (4 << 20)
+        yield time.monotonic()
+
+    with _fork.forked(results()) as next_result:
+        time.sleep(1.0)
+        busy_until = time.monotonic()
+        assert len(next_result()) == 4 << 20
+        assert (next_result() < busy_until) is path
+    no_worker_left()
+
+
+def test_an_error_at_the_second_yield_keeps_its_type_and_message(path):
+    def results():
+        yield 1
+        raise KeyError("second")
+
+    with _fork.forked(results()) as next_result:
+        assert next_result() == 1
+        with pytest.raises(KeyError) as exc:
+            next_result()
+    assert type(exc.value) is KeyError and exc.value.args == ("second",)
+    no_worker_left()
 
 
 def tiny_benchmark():
@@ -102,24 +151,72 @@ def test_a_stage_error_in_the_child_reaches_the_caller_as_inline(path):
         benchmark_variants(spec, source, no_content, vocab, cutoff=5)
     assert type(exc.value) is ValueError
     assert str(exc.value) == "no document in the corpus has content tokens"
-    assert multiprocessing.active_children() == []
+    no_worker_left()
+
+
+def test_benchmark_variants_keeps_one_worker_and_the_dense_row_off_the_caller(monkeypatch):
+    """On the worker path, at most one worker is alive during every stage
+    the caller runs, and the caller never builds the wo_pretraining row,
+    whose dense encoder makes the largest index."""
+    pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    caller = os.getpid()
+    live = {}  # caller stage -> live workers at its start and end
+
+    def watch(module, name, stage):
+        fn = getattr(module, name)
+
+        def watched(*args, **kwargs):
+            counts = live.setdefault(stage(*args), []) if os.getpid() == caller else []
+            counts.append(len(multiprocessing.active_children()))
+            out = fn(*args, **kwargs)
+            counts.append(len(multiprocessing.active_children()))
+            return out
+        monkeypatch.setattr(module, name, watched)
+
+    watch(training, "pretrain_mlm", lambda base, docs, vocab, spec, log_path: spec.stage)
+    watch(training, "finetune_ir", lambda init, *_: f"finetune from {init.stage}")
+    watch(experiment, "compose", lambda domain, task: f"compose {task.parents[0]['stage']}")
+    watch(experiment, "sparse_method", lambda name, *_: name)
+    watch(experiment, "bm25_method", lambda name, *_: name)
+    spec, source, target, vocab = tiny_benchmark()
+    benchmark_variants(spec, source, target, vocab, cutoff=10)
+    assert max(n for counts in live.values() for n in counts) == 1
+    assert set(live) == {"pretrain_source", "finetune from pretrain_source", "zeroshot", "bm25",
+                         "compose pretrain_source", "composed"}
+    no_worker_left()
 
 
 def test_a_caller_error_stops_the_child_in_flight(path):
+    def results():
+        yield 1
+        time.sleep(60)
+        yield 2
+
     t0 = time.perf_counter()
     with pytest.raises(KeyError, match="caller"):
-        with _fork.forked(lambda: time.sleep(60)):
+        with _fork.forked(results()) as next_result:
+            assert next_result() == 1
             raise KeyError("caller")
     assert time.perf_counter() - t0 < 10.0  # terminated, not waited for
-    assert multiprocessing.active_children() == []
+    no_worker_left()
 
 
 def test_a_child_that_dies_is_reported(monkeypatch):
+    """Child path only: inline, os._exit would end the test process."""
     monkeypatch.setattr(_fork, "fork_pays", lambda: True)
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        with _fork.forked(lambda: os._exit(3)) as result:
-            result()
-    assert multiprocessing.active_children() == []
+
+    def results():
+        yield 1
+        time.sleep(0.5)  # os._exit drops a result the sender thread has not written yet
+        os._exit(3)
+
+    t0 = time.perf_counter()
+    with _fork.forked(results()) as next_result:
+        assert next_result() == 1
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            next_result()
+    assert time.perf_counter() - t0 < 10.0
+    no_worker_left()
 
 
 def _workdir_files(root):
