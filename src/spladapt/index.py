@@ -13,10 +13,12 @@ ascending doc id order, column t for term id t, concatenated from each doc's
 Ranking everywhere is (score descending, doc id ascending). Top-k is exact:
 every document with a nonzero score is considered, no approximation.
 
-On disk an index is a directory {meta.json, postings.bin, docstore.bin};
-postings.bin is term-major (term ids, then doc positions, strictly
-ascending), payloads are little-endian with doc ids referenced by position
-in the docstore, and meta.json (schema 2) holds their blake2b-64 checksums.
+On disk an index is a directory {meta.json, postings.bin, docstore.bin}.
+postings.bin is the matrix's own CSR arrays, little-endian, one row per
+docstore doc in order: row pointers (n_docs + 1 uint32, from 0), then term
+ids (nnz uint32, strictly ascending within a doc), then weights (nnz
+float32, finite and positive), nnz being the last row pointer. meta.json
+(schema 3) holds the blake2b-64 checksums of both payloads.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ INDEX_KINDS = ("impact", "frequency")
 BM25_K1 = 0.9
 BM25_B = 0.4
 
-_META_SCHEMA = 2
-# one posting in postings.bin: doc position in the docstore, weight
-_RECORD = np.dtype([("pos", "<u4"), ("w", "<f4")])
+_META_SCHEMA = 3
 
 
 @dataclass
@@ -230,17 +230,13 @@ def save_index(index: InvertedIndex, path: str | Path) -> Path:
         raw = d.encode("utf-8")
         store += (struct.pack("<H", len(raw)), raw, struct.pack("<I", index.doc_lengths[d]))
 
-    csc = index.matrix.tocsc()  # term-major, doc positions ascending within a term
-    recs = np.empty(csc.nnz, _RECORD)
-    recs["pos"], recs["w"] = csc.indices, csc.data
-    bounds = csc.indptr.tolist()
-    tids = np.flatnonzero(np.diff(csc.indptr)).tolist()
-    post = [struct.pack("<I", len(tids))]
-    for tid in tids:
-        lo, hi = bounds[tid], bounds[tid + 1]
-        post += (struct.pack("<II", tid, hi - lo), recs[lo:hi].tobytes())
-
-    payloads = {"postings.bin": b"".join(post), "docstore.bin": b"".join(store)}
+    m = index.matrix
+    weights = m.data.astype("<f4")
+    if not ((weights > 0) & (weights < np.inf)).all():  # load_index would refuse the file
+        raise ValueError(f"cannot write {path / 'postings.bin'}: a weight is not finite and "
+                         f"positive in float32")
+    post = b"".join((m.indptr.astype("<u4"), m.indices.astype("<u4"), weights))
+    payloads = {"postings.bin": post, "docstore.bin": b"".join(store)}
     meta = {
         "schema_version": _META_SCHEMA,
         "kind": index.kind,
@@ -257,14 +253,14 @@ def save_index(index: InvertedIndex, path: str | Path) -> Path:
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read and verify an index directory, building the matrix straight
-    from the term-major records."""
+    from the stored CSR arrays."""
     path = Path(path)
     meta_path = path / "meta.json"
     meta = _read_json(meta_path)
     if meta.get("schema_version") != _META_SCHEMA:
         raise ValueError(f"{meta_path}: schema_version {meta.get('schema_version')!r} is not "
-                         f"{_META_SCHEMA}; v1 used FNV-1a checksums, so rebuild the index "
-                         f"(spladapt index)")
+                         f"{_META_SCHEMA}; v1 used FNV-1a checksums and v2 term-major postings, "
+                         f"so rebuild the index (spladapt index)")
     _require(meta, ("kind", "n_docs", "avgdl", "postings_checksum", "docstore_checksum"),
              str(meta_path))
     if meta["kind"] not in INDEX_KINDS:
@@ -287,7 +283,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             off += 6 + ln
     except (struct.error, UnicodeDecodeError) as exc:
         raise ValueError(f"{path / 'docstore.bin'}: malformed: {exc}") from None
-    # positions index the sorted doc ids, which are the matrix rows
+    # row r of postings.bin is the r-th of the sorted doc ids
     doc_ids = list(doc_lengths)
     if doc_ids != sorted(doc_ids) or len(doc_ids) != n_docs or off != len(store):
         raise ValueError(f"{path / 'docstore.bin'}: doc ids are not unique and ascending, "
@@ -303,31 +299,32 @@ def load_index(path: str | Path) -> InvertedIndex:
                          f"lengths give {avgdl!r}")
 
     post_path = path / "postings.bin"
-    try:
-        (n_terms,) = struct.unpack_from("<I", post, 0)
-        # after the term count: 8-byte cells, each term's (tid, n) header then its n records
-        cells = np.frombuffer(post, _RECORD, offset=4)
-        heads, i = [], 0
-        for _ in range(n_terms):
-            heads.append(i)
-            i += 1 + struct.unpack_from("<II", post, 4 + 8 * i)[1]
-    except (struct.error, ValueError) as exc:  # ValueError: np.frombuffer of a ragged tail
-        raise ValueError(f"{post_path}: term records overrun the file: {exc}") from None
-    if i != len(cells):
-        raise ValueError(f"{post_path}: {n_terms} terms fill {i} of its {len(cells)} records")
-    heads = np.array(heads, np.int64)
-    is_record = np.ones(len(cells), bool)
-    is_record[heads] = False
-    tids = cells["pos"][heads].astype(np.int64)
-    pos = cells["pos"][is_record].astype(np.int64)
-    term_of = np.repeat(tids, np.diff(heads, append=len(cells)) - 1)  # the term of each record
-    for term, bad, what in (
-            (tids, np.diff(tids, prepend=-1) < 1, "does not ascend from the term before it"),
-            (term_of, (np.diff(term_of, prepend=-1) == 0) & (np.diff(pos, prepend=-1) < 1),
-             "repeats a doc position or lists one out of order"),
-            (term_of, pos >= n_docs, f"names a doc position past the {n_docs} docs of docstore.bin")):
+    head = 4 * (n_docs + 1)  # bytes of the row pointers
+    if len(post) < head:
+        raise ValueError(f"{post_path}: {len(post)} bytes cut the row pointers of the docstore's "
+                         f"{n_docs} docs at doc {doc_ids[max(len(post) // 4, 1) - 1]!r}")
+    indptr = np.frombuffer(post, "<u4", count=n_docs + 1).astype(np.int64)
+    nnz, room = int(indptr[-1]), (len(post) - head) // 8
+    for bad, what in ((indptr[:1] != 0, f"starts at posting {indptr[0]}, not 0"),
+                      (indptr[1:] < indptr[:-1], "ends before it starts"),
+                      (indptr[1:] > room, f"ends past the {room} postings the file holds")):
         if bad.any():
-            raise ValueError(f"{post_path}: term {term[bad.argmax()]} {what}")
-    matrix = sp.csr_array((cells["w"][is_record].astype(np.float64), (pos, term_of)),
+            raise ValueError(f"{post_path}: the row of doc {doc_ids[bad.argmax()]!r} {what}")
+    if len(post) != head + 8 * nnz:
+        raise ValueError(f"{post_path}: the rows end at posting {nnz} with doc {doc_ids[-1]!r}, "
+                         f"so the file has {head + 8 * nnz} bytes, not {len(post)}")
+    tids = np.frombuffer(post, "<u4", count=nnz, offset=head).astype(np.int64)
+    weights = np.frombuffer(post, "<f4", count=nnz, offset=head + 4 * nnz)
+    unordered = np.append(False, tids[1:] <= tids[:-1])
+    unordered[indptr[:-1][indptr[:-1] < nnz]] = False  # each row starts afresh
+    sound = (weights > 0) & (weights < np.inf)  # NaN fails both
+    for bad, what in ((unordered, "is repeated or out of order within the doc"),
+                      (~sound, "has a weight that is not finite and positive")):
+        if bad.any():
+            i = int(bad.argmax())
+            doc = doc_ids[np.searchsorted(indptr, i, side="right") - 1]
+            raise ValueError(f"{post_path}: doc {doc!r}, term {tids[i]} (weight {weights[i]}) "
+                             f"{what}")
+    matrix = sp.csr_array((weights.astype(np.float64), tids, indptr),
                           shape=(n_docs, tids.max(initial=-1) + 1))
     return InvertedIndex(kind=meta["kind"], matrix=matrix, doc_lengths=doc_lengths, avgdl=avgdl)

@@ -305,6 +305,11 @@ def test_index_round_trip_identical(tmp_path):
     assert loaded.kind == index.kind
     assert loaded.doc_lengths == index.doc_lengths
     assert loaded.avgdl == index.avgdl
+    m, built = loaded.matrix, index.matrix
+    assert m.shape == built.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(m, name), getattr(built, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert set(loaded.postings) == set(index.postings)
     for tid in index.postings:
         assert loaded.postings[tid] == index.postings[tid]
@@ -337,18 +342,24 @@ def test_frequency_round_trip(tmp_path):
     assert a == b
 
 
-def expected_payloads(doc_lengths, postings):
+def expected_payloads(doc_lengths, rows):
     """docstore.bin and postings.bin packed one field at a time with struct,
-    from doc_id -> length and term id -> [(doc position, weight)]."""
-    store = struct.pack("<I", len(doc_lengths))
-    for doc_id in sorted(doc_lengths):
+    from doc_id -> length and doc_id -> [(term id, weight)] (docs without
+    terms may be left out of rows)."""
+    doc_ids = sorted(doc_lengths)
+    store = struct.pack("<I", len(doc_ids))
+    for doc_id in doc_ids:
         raw = doc_id.encode("utf-8")
         store += struct.pack("<H", len(raw)) + raw + struct.pack("<I", doc_lengths[doc_id])
-    post = struct.pack("<I", len(postings))
-    for tid in sorted(postings):
-        post += struct.pack("<II", tid, len(postings[tid]))
-        for pos, weight in postings[tid]:
-            post += struct.pack("<If", pos, weight)
+    postings = [p for d in doc_ids for p in rows.get(d, [])]
+    post, end = struct.pack("<I", 0), 0
+    for doc_id in doc_ids:
+        end += len(rows.get(doc_id, []))
+        post += struct.pack("<I", end)
+    for tid, _ in postings:
+        post += struct.pack("<I", tid)
+    for _, weight in postings:
+        post += struct.pack("<f", weight)
     return store, post
 
 
@@ -356,8 +367,10 @@ def assert_saved_bytes(path, store, post):
     assert (path / "docstore.bin").read_bytes() == store
     assert (path / "postings.bin").read_bytes() == post
     meta = json.loads((path / "meta.json").read_text())
+    assert meta["schema_version"] == 3
     assert meta["docstore_checksum"] == fnv1a64(store)
     assert meta["postings_checksum"] == fnv1a64(post)
+    load_index(path)  # empty rows, inside or at the end, load too
 
 
 def test_impact_index_bytes_on_disk(tmp_path):
@@ -369,33 +382,35 @@ def test_impact_index_bytes_on_disk(tmp_path):
     save_index(index_from_vectors(reps), tmp_path / "idx")
     store, post = expected_payloads(
         {"a": 2, "b": 3, "é-c": 0},
-        {3: [(0, 1.0 / 3.0), (1, 0.1)], 7: [(1, 2.5)], 12: [(0, 7.25), (1, 1e-3)]})
+        {"a": [(3, 1.0 / 3.0), (12, 7.25)], "b": [(3, 0.1), (7, 2.5), (12, 1e-3)]})
     assert_saved_bytes(tmp_path / "idx", store, post)
 
 
 def test_frequency_index_bytes_on_disk(tmp_path):
-    # d2 holds no vocabulary term: it is in the docstore and in no posting list
+    # d2 holds no vocabulary term: it is in the docstore with an empty row
     vocab = Vocabulary(["cat", "dog", "owl"])
     docs = {"d3": "owl cat owl owl", "d1": "cat dog cat", "d2": "zebra yak"}
     save_index(build_frequency_index(docs, vocab), tmp_path / "fidx")
     cat, dog, owl = (vocab.id_of(w) for w in ("cat", "dog", "owl"))
+    assert cat < dog < owl
     store, post = expected_payloads(
         {"d1": 3, "d2": 2, "d3": 4},
-        {cat: [(0, 2.0), (2, 1.0)], dog: [(0, 1.0)], owl: [(2, 3.0)]})
+        {"d1": [(cat, 2.0), (dog, 1.0)], "d3": [(cat, 1.0), (owl, 3.0)]})
     assert_saved_bytes(tmp_path / "fidx", store, post)
 
 
-def test_schema_1_index_rejected_with_remedy(tmp_path):
+@pytest.mark.parametrize("schema", [1, 2])
+def test_schema_1_index_rejected_with_remedy(tmp_path, schema):
     save_index(index_from_vectors({"a": SparseVector({1: 1.0})}), tmp_path / "idx")
     meta_path = tmp_path / "idx" / "meta.json"
     meta = json.loads(meta_path.read_text())
-    meta["schema_version"] = 1
+    meta["schema_version"] = schema
     meta_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError) as exc:
         load_index(tmp_path / "idx")
     msg = str(exc.value)
     assert str(meta_path) in msg and "schema_version" in msg
-    assert "FNV-1a" in msg and "rebuild the index" in msg
+    assert "FNV-1a" in msg and "rebuild the index" in msg and "spladapt index" in msg
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -445,25 +460,40 @@ def write_postings(path, post):
     (path / "meta.json").write_text(json.dumps(meta))
 
 
-def test_postings_that_overrun_the_file_are_rejected(tmp_path):
-    path = tmp_path / "idx"
+def _two_doc_index(path):
+    """Docs a {1: 1.0} and b {1: 2.0, 2: 3.0} saved at path; returns the
+    postings.bin payload a loader accepts, checked against the saved bytes."""
     save_index(index_from_vectors({"a": SparseVector({1: 1.0}),
                                    "b": SparseVector({1: 2.0, 2: 3.0})}), path)
-    _, good = expected_payloads({"a": 1, "b": 2}, {1: [(0, 1.0), (1, 2.0)], 2: [(1, 3.0)]})
+    _, good = expected_payloads({"a": 1, "b": 2}, {"a": [(1, 1.0)], "b": [(1, 2.0), (2, 3.0)]})
     assert (path / "postings.bin").read_bytes() == good
-    term1, term2 = good[4:28], good[28:]
+    return good
+
+
+def test_postings_that_overrun_the_file_are_rejected(tmp_path):
+    path = tmp_path / "idx"
+    good = _two_doc_index(path)
+    ptrs, arrays = good[:12], good[12:]  # row pointers 0, 1, 3; then term ids, then weights
     for post, message in (
-        (good[:-4], "postings.bin"),                                  # last record cut
-        (good[:-12], "postings.bin"),                                 # last header cut
-        (good[:-16] + struct.pack("<II", 2, 5) + good[-8:], "postings.bin"),  # count of 5, 1 record
-        (struct.pack("<I", 3) + good[4:], "postings.bin"),            # 3 terms, 2 present
-        (good + b"\0" * 8, "postings.bin"),                           # bytes after the last term
-        # out of order: a repeated term used to replace the earlier list, and
-        # a repeated doc position to load as two postings
-        (good[:28] + struct.pack("<II", 1, 1) + good[-8:], "postings.bin: term 1 "),  # term 1 twice
-        (good[:4] + term2 + term1, "postings.bin: term 1 "),           # terms descending
-        (good[:12] + good[20:28] + good[12:20] + term2, "postings.bin: term 1 "),  # positions descending
-        (good[:28] + struct.pack("<II", 2, 2) + good[-8:] * 2, "postings.bin: term 2 "),  # position repeated
+        # truncated arrays, and bytes after the weights
+        (good[:6], "postings.bin: 6 bytes cut the row pointers .* at doc 'a'"),
+        (good[:8], "postings.bin: 8 bytes cut the row pointers .* at doc 'b'"),
+        (good[:14], "postings.bin: the row of doc 'a' ends past the 0 postings"),
+        (good[:-4], "postings.bin: the row of doc 'b' ends past the 2 postings"),
+        (good + b"\0" * 8, "postings.bin: the rows end at posting 3 with doc 'b'"),
+        (good + b"\0", "postings.bin: the rows end at posting 3 with doc 'b'"),
+        # row pointers that do not start at 0, that decrease, or that end past the data
+        (struct.pack("<3I", 1, 1, 3) + arrays,
+         "postings.bin: the row of doc 'a' starts at posting 1, not 0"),
+        (struct.pack("<3I", 0, 2, 1) + arrays,
+         "postings.bin: the row of doc 'b' ends before it starts"),
+        (struct.pack("<3I", 0, 1, 4) + arrays,
+         "postings.bin: the row of doc 'b' ends past the 3 postings"),
+        # a term repeated or out of order within a doc; across docs terms start afresh
+        (ptrs + struct.pack("<3I", 1, 2, 2) + arrays[12:],
+         r"postings.bin: doc 'b', term 2 \(weight 3.0\) is repeated or out of order"),
+        (ptrs + struct.pack("<3I", 1, 2, 1) + arrays[12:],
+         r"postings.bin: doc 'b', term 1 \(weight 3.0\) is repeated or out of order"),
     ):
         write_postings(path, post)
         with pytest.raises(ValueError, match=message):
@@ -472,11 +502,41 @@ def test_postings_that_overrun_the_file_are_rejected(tmp_path):
 
 def test_postings_naming_a_doc_past_the_docstore_are_rejected(tmp_path):
     path = tmp_path / "idx"
-    save_index(index_from_vectors({"a": SparseVector({1: 1.0}), "b": SparseVector({2: 3.0})}), path)
-    _, post = expected_payloads({"a": 1, "b": 1}, {1: [(0, 1.0)], 2: [(2, 3.0)]})
+    _two_doc_index(path)
+    lengths = {"a": 1, "b": 2, "c": 1}
+    for rows, message in (
+        # more rows than the docstore holds, the extra one empty or not
+        ({"a": [(1, 1.0)], "b": [(1, 2.0), (2, 3.0)], "c": [(5, 1.0)]},
+         "postings.bin: the rows end at posting 3 with doc 'b'"),
+        ({"a": [(1, 1.0)], "b": [(1, 2.0), (2, 3.0)], "c": []},
+         "postings.bin: the rows end at posting 3 with doc 'b'"),
+        # fewer rows: the first term id is read as doc b's end
+        ({"a": [(1, 1.0), (2, 3.0)]}, "postings.bin: the row of doc 'b' ends before it starts"),
+        ({"a": [(1, 1.0)]}, "postings.bin: the row of doc 'a' ends past the 0 postings"),
+    ):
+        _, post = expected_payloads({d: lengths[d] for d in rows}, rows)
+        write_postings(path, post)
+        with pytest.raises(ValueError, match=message):
+            load_index(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_postings_with_a_weight_that_is_not_finite_and_positive_are_rejected(tmp_path, bad):
+    # schema 2 loaded these, and a NaN score then ranked
+    path = tmp_path / "idx"
+    _two_doc_index(path)
+    _, post = expected_payloads({"a": 1, "b": 2}, {"a": [(1, 1.0)], "b": [(1, 2.0), (2, bad)]})
     write_postings(path, post)
-    with pytest.raises(ValueError, match="postings.bin.*doc position past"):
+    with pytest.raises(ValueError, match="postings.bin: doc 'b', term 2 .* not finite and pos"):
         load_index(path)
+
+
+@pytest.mark.parametrize("weight", [1e-50, 1e39], ids=["underflow", "overflow"])
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_weights_that_float32_cannot_hold_are_not_saved(tmp_path, weight):
+    # float32 makes them 0 and inf, which load_index would refuse
+    with pytest.raises(ValueError, match="postings.bin: a weight is not finite and positive"):
+        save_index(index_from_vectors({"a": SparseVector({1: weight})}), tmp_path / "idx")
 
 
 def test_malformed_docstore_is_rejected(tmp_path):
