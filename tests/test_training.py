@@ -181,6 +181,55 @@ def test_ranking_loss_shape_mismatch():
         ranking_loss(dense([{0: 1.0}]), dense([{0: 1.0}, {1: 1.0}]), dense([{0: 1.0}]))
 
 
+def _oracle_ranking_loss(reps: np.ndarray, lambda_q: float, lambda_d: float):
+    """The fine-tune loss, its weighted FLOPS term and its (3B, V) gradient,
+    rebuilt from plain numpy in the training code's order of operations."""
+    B = len(reps) // 3
+    dt = reps.dtype.type
+    q, pos, neg = reps[:B], reps[B:2 * B], reps[2 * B:]
+    scores = np.concatenate([(q * pos).sum(axis=1)[:, None], q @ neg.T.copy()], axis=1)
+    zmax = scores.max(axis=1, keepdims=True)
+    ez = np.exp(scores - zmax)
+    loss = dt((np.log(ez.sum(axis=1)) + zmax[:, 0] - scores[:, 0]).sum() / B)
+    flops_term = 0.0
+    grad = np.zeros_like(reps)  # accumulating into +0 leaves no -0 behind
+    for rows, lam in ((slice(0, B), lambda_q), (slice(B, 3 * B), lambda_d)):
+        if lam:
+            n = rows.stop - rows.start
+            mean = reps[rows].sum(axis=0) * dt(1.0 / n)
+            flops_term += lam * float((mean * mean).sum())
+            loss = loss + (mean * mean).sum() * dt(lam)
+            grad[rows] += 2 * (dt(lam) * mean) * dt(1.0 / n)
+    d_scores = ez / ez.sum(axis=1, keepdims=True)
+    d_scores[:, 0] -= 1
+    d_scores *= dt(1) / dt(B)
+    grad[:B] += d_scores[:, 1:] @ neg
+    grad[:B] += d_scores[:, :1] * pos
+    grad[B:2 * B] += d_scores[:, :1] * q
+    grad[2 * B:] += (q.T @ d_scores[:, 1:]).T
+    return loss, flops_term, grad
+
+
+def test_ranking_loss_bitwise_matches_numpy_oracle():
+    # SPLADE-like rows: float32, non-negative, nine in ten terms exactly 0
+    rng = np.random.default_rng(14)
+    for B in (1, 16):
+        reps = np.log1p(np.maximum(rng.normal(0, 1, (3 * B, 2000)), 0))
+        reps[rng.random(reps.shape) < 0.9] = 0
+        reps = reps.astype(np.float32)
+        for lambda_q, lambda_d in ((0.0, 0.0), (1e-3, 1e-4), (1e-3, 1e-3)):
+            loss, flops_term, grad = _oracle_ranking_loss(reps, lambda_q, lambda_d)
+            x = Tensor(reps.copy(), requires_grad=True)
+            with GradTape() as tape:
+                out, parts = ranking_loss(*(ad.slice_rows(x, i * B, (i + 1) * B) for i in range(3)),
+                                          lambda_q=lambda_q, lambda_d=lambda_d)
+                tape.backward(out)
+            case = (B, lambda_q, lambda_d)
+            assert out.data.tobytes() == loss.tobytes(), case
+            assert parts["flops_term"] == flops_term, case
+            assert x.grad.tobytes() == grad.tobytes(), case
+
+
 # ---------------------------------------------------------------- stages
 
 
