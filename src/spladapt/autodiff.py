@@ -17,6 +17,12 @@ requires grad, so a frozen op still passes the gradient back to its input.
 splade_pool fuses the whole SPLADE head. It computes the pooling argmax only
 while a tape records it (training), and its backward builds the logit
 gradient as a sparse matrix with one entry per (sequence, term).
+
+ranking_loss fuses the fine-tune loss: in-batch softmax cross entropy over
+the (3B, V) query/positive/negative batch plus its two FLOPS terms, with one
+(3B, V) gradient buffer. softmax_cross_entropy is the MLM loss. The other
+ops (add, gather_rows, transpose2d, layer_norm) serve the embedding sum,
+the residual connections and the tied head.
 """
 
 from __future__ import annotations
@@ -31,24 +37,16 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "GradTape",
-    "matmul",
     "linear",
     "self_attention",
     "feed_forward",
     "transpose2d",
-    "reshape",
     "add",
-    "mul",
-    "scale",
-    "concat_rows",
-    "concat_cols",
-    "slice_rows",
     "gather_rows",
-    "sum_axis",
-    "sum_all",
     "layer_norm",
     "splade_pool",
     "softmax_cross_entropy",
+    "ranking_loss",
     "numeric_gradient",
     "IGNORE_INDEX",
 ]
@@ -157,41 +155,7 @@ def _accum(t: Tensor, g: np.ndarray, own: bool = True) -> None:
         np.add(t.grad, g, out=t.grad)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to shape, inverting numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------- linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (m, k) @ b (k, n) -> (m, n)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    _record((a, b), out, backward)
-    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -240,111 +204,23 @@ def transpose2d(x: Tensor) -> Tensor:
     return out
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-
-    def backward():
-        if out.grad is not None:
-            _accum(x, out.grad.reshape(x.data.shape))
-
-    _record((x,), out, backward)
-    return out
-
-
-# ---------------------------------------------------------------- pointwise / reductions
+# ---------------------------------------------------------------- sum and lookup
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may broadcast against a (bias over trailing dims)."""
+    """Elementwise sum of two tensors of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"add expects equal shapes, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
 
     def backward():
         g = out.grad
         if g is None:
             return
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape), own=False)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape), own=False)
+        _accum(a, g, own=False)
+        _accum(b, g, own=False)
 
     _record((a, b), out, backward)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    _record((a, b), out, backward)
-    return out
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = x.data.dtype.type(s)
-    out = Tensor(x.data * s)
-
-    def backward():
-        if out.grad is not None:
-            _accum(x, out.grad * s)
-
-    _record((x,), out, backward)
-    return out
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Stack along axis 0."""
-    out = Tensor(np.concatenate((a.data, b.data), axis=0))
-    split = a.data.shape[0]
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(a, g[:split], own=False)
-        _accum(b, g[split:], own=False)
-
-    _record((a, b), out, backward)
-    return out
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Stack along axis 1 (2-D operands)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("concat_cols expects 2-D operands")
-    out = Tensor(np.concatenate((a.data, b.data), axis=1))
-    split = a.data.shape[1]
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(a, g[:, :split], own=False)
-        _accum(b, g[:, split:], own=False)
-
-    _record((a, b), out, backward)
-    return out
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(x.data[start:stop].copy())
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        _accum(x, gx)
-
-    _record((x,), out, backward)
     return out
 
 
@@ -364,32 +240,6 @@ def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
         gx = np.zeros_like(x.data)
         np.add.at(gx, ids, g)
         _accum(x, gx)
-
-    _record((x,), out, backward)
-    return out
-
-
-def sum_axis(x: Tensor, axis: int) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape), own=False)
-
-    _record((x,), out, backward)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum()))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _accum(x, np.broadcast_to(g, x.data.shape), own=False)
 
     _record((x,), out, backward)
     return out
@@ -571,32 +421,96 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int
     if logits.ndim != 2 or targets.shape != (logits.data.shape[0],):
         raise ValueError(f"cross entropy shape mismatch: logits {logits.shape}, targets {targets.shape}")
     valid = targets != ignore_index
-    count = int(valid.sum())
-    if count == 0:
+    if not valid.any():
         raise ValueError("cross entropy with no supervised rows (all targets ignored)")
     tv = targets[valid]
     V = logits.data.shape[1]
     if tv.min() < 0 or tv.max() >= V:
         raise IndexError(f"cross entropy target out of range [0, {V})")
-    z = logits.data[valid]
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    log_norm = np.log(ez.sum(axis=-1)) + zmax[:, 0]
-    nll = log_norm - z[np.arange(count), tv]
-    out = Tensor(np.asarray(nll.sum() / count, dtype=logits.dtype))
+    loss, d_logits = _cross_entropy(logits.data[valid], tv)
+    out = Tensor(loss)
 
     def backward():
         g = out.grad
         if g is None:
             return
         glogits = np.zeros_like(logits.data)
-        sm = ez / ez.sum(axis=-1, keepdims=True)
-        sm[np.arange(count), tv] -= 1.0
-        glogits[valid] = sm * (g / logits.dtype.type(count))
+        glogits[valid] = d_logits(g)
         _accum(logits, glogits)
 
     _record((logits,), out, backward)
     return out
+
+
+def ranking_loss(reps: Tensor, lambda_q: float, lambda_d: float) -> tuple[Tensor, float]:
+    """In-batch softmax contrastive loss plus FLOPS regularization.
+
+    reps (3B, V) holds B query rows, then their B positives, then B
+    negatives, row-aligned by triple. Query i scores its own positive and
+    every negative in the batch, and the cross entropy target is always the
+    positive. The FLOPS term of a row block is the sum over terms of its
+    squared mean activation; lambda_q weights that of the queries and
+    lambda_d that of the 2B doc rows, and a zero weight skips its term.
+    Returns the scalar loss and, for the step log, the weighted FLOPS term
+    as a float. The backward writes the whole (3B, V) gradient into one
+    buffer.
+    """
+    x = reps.data
+    if reps.ndim != 2 or x.shape[0] == 0 or x.shape[0] % 3:
+        raise ValueError(f"ranking_loss expects (3B, V) representations, B >= 1; got {reps.shape}")
+    B = x.shape[0] // 3
+    dt = x.dtype.type
+    q, pos, neg = x[:B], x[B:2 * B], x[2 * B:]
+    # neg.T is copied: OpenBLAS sums a product with a transposed operand in
+    # another order, and trained checkpoints keep their bytes with this one
+    scores = np.concatenate(((q * pos).sum(axis=1)[:, None], q @ neg.T.copy()), axis=1)
+    loss, d_scores = _cross_entropy(scores, np.zeros(B, dtype=np.int64))
+    flops_term, flops = 0.0, []
+    for rows, n, lam in ((slice(0, B), B, lambda_q), (slice(B, 3 * B), 2 * B, lambda_d)):
+        if lam:
+            mean = x[rows].sum(axis=0) * dt(1.0 / n)
+            term = (mean * mean).sum()
+            flops_term += lam * float(term)
+            loss = loss + term * dt(lam)
+            flops.append((rows, n, lam, mean))
+    out = Tensor(np.asarray(loss))
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        # summed into +0 in a fixed order (a query row takes its FLOPS part,
+        # then the negatives', then the positive's), so the bytes are fixed
+        grad = np.zeros_like(x)
+        for rows, n, lam, mean in flops:
+            grad[rows] += 2 * (g * dt(lam) * mean) * dt(1.0 / n)
+        ds = d_scores(g)
+        d_pos, d_neg = ds[:, :1], ds[:, 1:]
+        grad[:B] += d_neg @ neg
+        grad[:B] += d_pos * pos
+        grad[B:2 * B] += d_pos * q
+        grad[2 * B:] += (q.T @ d_neg).T
+        _accum(reps, grad)
+
+    _record((reps,), out, backward)
+    return out, flops_term
+
+
+def _cross_entropy(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """The mean over rows of -log softmax(z)[row, target], as a 0-d array of
+    z's dtype, and the map from its upstream gradient to the gradient of z."""
+    rows = np.arange(len(targets))
+    zmax = z.max(axis=-1, keepdims=True)
+    ez = np.exp(z - zmax)
+    nll = np.log(ez.sum(axis=-1)) + zmax[:, 0] - z[rows, targets]
+
+    def grad(g: np.ndarray) -> np.ndarray:
+        sm = ez / ez.sum(axis=-1, keepdims=True)
+        sm[rows, targets] -= 1.0
+        sm *= g / z.dtype.type(len(targets))
+        return sm
+
+    return np.asarray(nll.sum() / len(targets), dtype=z.dtype), grad
 
 
 # ---------------------------------------------------------------- gradient checking

@@ -6,7 +6,8 @@ Stage semantics:
         task subset frozen; both start from the same base checkpoint.
     finetune_source
         in-batch softmax contrastive training of the task subset on source
-        relevance triples, domain subset frozen.
+        relevance triples, with FLOPS regularization, domain subset frozen;
+        the loss is one autodiff op, ad.ranking_loss.
     composed
         no training: target-domain subset grafted onto source-task subset.
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import resource
 import time
 from dataclasses import dataclass
@@ -53,7 +55,7 @@ from .vocab import MASK_ID, N_SPECIALS, PAD_ID, Vocabulary
 
 __all__ = [
     "MASK_ACTIONS", "mask_tokens", "MlmBatch", "build_mlm_batch",
-    "StageSpec", "pretrain_mlm", "ranking_loss", "finetune_ir",
+    "StageSpec", "pretrain_mlm", "finetune_ir",
     "PipelineSpec", "MODES", "run_pipeline",
 ]
 
@@ -143,10 +145,16 @@ class StageSpec:
     lambda_d: float = 1e-4
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name, ok, rule in (
+            ("steps", self.steps >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", math.isfinite(self.lr) and self.lr > 0, "finite and > 0"),
+            ("mask_prob", 0.0 <= self.mask_prob <= 1.0, "in [0, 1]"),
+            ("lambda_q", math.isfinite(self.lambda_q) and self.lambda_q >= 0, "finite and >= 0"),
+            ("lambda_d", math.isfinite(self.lambda_d) and self.lambda_d >= 0, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{self.stage}: {name} must be {rule}, got {getattr(self, name)!r}")
 
 
 class _StageLog:
@@ -232,46 +240,16 @@ def _sample_supervised_batch(cache: list[np.ndarray], rng: np.random.Generator,
                        f"mask_prob={spec.mask_prob} is too low for this corpus")
 
 
-def _flops_term(reps: Tensor) -> Tensor:
-    """Sum over terms of the squared batch-mean activation."""
-    mean = ad.scale(ad.sum_axis(reps, 0), 1.0 / reps.shape[0])
-    return ad.sum_all(ad.mul(mean, mean))
-
-
-def ranking_loss(query_reps: Tensor, pos_reps: Tensor, neg_reps: Tensor,
-                 lambda_q: float = 0.0, lambda_d: float = 0.0) -> tuple[Tensor, dict[str, float]]:
-    """In-batch softmax contrastive loss plus FLOPS regularization.
-
-    All three inputs are dense (B, V) representation batches, row-aligned by
-    triple. Query i's candidates are its own positive plus every negative in
-    the batch; the cross entropy target is always the positive. Returns the
-    scalar loss tensor and a breakdown of its parts as floats.
-    """
-    B = query_reps.shape[0]
-    if pos_reps.shape != query_reps.shape or neg_reps.shape != query_reps.shape:
-        raise ValueError("query/pos/neg representation batches must share one shape")
-    if B < 1:
-        raise ValueError("empty batch")
-    pos_scores = ad.reshape(ad.sum_axis(ad.mul(query_reps, pos_reps), 1), (B, 1))
-    neg_scores = ad.matmul(query_reps, ad.transpose2d(neg_reps))
-    scores = ad.concat_cols(pos_scores, neg_scores)  # (B, 1+B), positive is column 0
-    loss = ad.softmax_cross_entropy(scores, np.zeros(B, dtype=np.int64))
-    parts = {"ce": float(loss.data), "flops_term": 0.0}
-    if lambda_q:
-        fq = _flops_term(query_reps)
-        parts["flops_term"] += lambda_q * float(fq.data)
-        loss = ad.add(loss, ad.scale(fq, lambda_q))
-    if lambda_d:
-        fd = _flops_term(ad.concat_rows(pos_reps, neg_reps))
-        parts["flops_term"] += lambda_d * float(fd.data)
-        loss = ad.add(loss, ad.scale(fd, lambda_d))
-    parts["total"] = float(loss.data)
-    return loss, parts
-
-
 def finetune_ir(pretrained: Checkpoint, triples: Sequence[TrainTriple], docs: dict[str, str],
                 vocab: Vocabulary, spec: StageSpec, log_path: str | Path | None = None) -> Checkpoint:
-    """Contrastive-train the task subset on relevance triples; domain frozen."""
+    """Contrastive-train the task subset on relevance triples; domain frozen.
+
+    Each step draws spec.batch_size triples, encodes their queries,
+    positives and negatives as one (3B, V) batch, and takes ad.ranking_loss
+    with spec.lambda_q and spec.lambda_d: in-batch softmax cross entropy
+    plus the weighted FLOPS terms, which the step log records as loss and
+    flops_term.
+    """
     if spec.stage != "finetune_source":
         raise ValueError(f"finetune_ir got stage {spec.stage!r}")
     if not triples:
@@ -298,14 +276,9 @@ def finetune_ir(pretrained: Checkpoint, triples: Sequence[TrainTriple], docs: di
         ids = np.full((3 * B, max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
         for r, s in enumerate(seqs):
             ids[r, : len(s)] = s
-        reps = encode_sparse_batch(weights, ids)
-        loss, parts = ranking_loss(
-            ad.slice_rows(reps, 0, B),
-            ad.slice_rows(reps, B, 2 * B),
-            ad.slice_rows(reps, 2 * B, 3 * B),
-            lambda_q=spec.lambda_q, lambda_d=spec.lambda_d,
-        )
-        return loss, {"loss": parts["total"], "flops_term": parts["flops_term"]}
+        loss, flops_term = ad.ranking_loss(encode_sparse_batch(weights, ids),
+                                           spec.lambda_q, spec.lambda_d)
+        return loss, {"loss": float(loss.data), "flops_term": flops_term}
 
     return _train_stage(pretrained, weights, partition_parameters(cfg).task_names, spec,
                         step_loss, log_path)
@@ -369,17 +342,22 @@ class PipelineSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        # built once here, so that StageSpec checks every number at construction;
+        # stage seeds are derived from the experiment seed with fixed offsets
+        self._stages = {
+            stage: StageSpec(stage=stage, steps=self.pretrain_steps, batch_size=self.batch_size,
+                             seed=self.seed + offset, lr=self.lr, mask_prob=self.mask_prob)
+            for offset, stage in enumerate(("pretrain_source", "pretrain_target"), start=1)
+        }
+        self._stages["finetune_source"] = StageSpec(
+            stage="finetune_source", steps=self.finetune_steps, batch_size=self.batch_size,
+            seed=self.seed + 3, lr=self.lr, lambda_q=self.lambda_q, lambda_d=self.lambda_d)
 
     def pretrain_stage(self, stage: str) -> StageSpec:
-        # stage seeds are derived from the experiment seed with fixed offsets
-        offset = 1 if stage == "pretrain_source" else 2
-        return StageSpec(stage=stage, steps=self.pretrain_steps, batch_size=self.batch_size,
-                         seed=self.seed + offset, lr=self.lr, mask_prob=self.mask_prob)
+        return self._stages[stage]
 
     def finetune_stage(self) -> StageSpec:
-        return StageSpec(stage="finetune_source", steps=self.finetune_steps,
-                         batch_size=self.batch_size, seed=self.seed + 3, lr=self.lr,
-                         lambda_q=self.lambda_q, lambda_d=self.lambda_d)
+        return self._stages["finetune_source"]
 
 
 class _Stages:

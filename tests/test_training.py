@@ -9,6 +9,7 @@ import pytest
 
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
+from spladapt.cli import load_config
 from spladapt.data import TrainTriple
 from spladapt.model import ModelConfig, encode_sparse_batch, init_weights, mlm_logits
 from spladapt.params import (
@@ -16,7 +17,7 @@ from spladapt.params import (
 )
 from spladapt.training import (
     MASK_ACTIONS, MODES, PipelineSpec, StageSpec, build_mlm_batch, finetune_ir,
-    mask_tokens, pretrain_mlm, ranking_loss, run_pipeline,
+    mask_tokens, pretrain_mlm, run_pipeline,
 )
 from spladapt.vocab import CLS_ID, MASK_ID, SEP_ID, Vocabulary, build_vocabulary
 
@@ -106,9 +107,11 @@ def test_batch_padding_and_supervision_count():
 # ---------------------------------------------------------------- ranking loss
 
 
-def dense(rows, V=8):
-    out = np.zeros((len(rows), V), dtype=np.float64)
-    for i, row in enumerate(rows):
+def rep_batch(queries, positives, negatives, V=8):
+    """A (3B, V) float64 representation batch: query, positive and negative
+    rows, each given as {term id: weight}."""
+    out = np.zeros((3 * len(queries), V), dtype=np.float64)
+    for i, row in enumerate([*queries, *positives, *negatives]):
         for tid, val in row.items():
             out[i, tid] = val
     return Tensor(out, requires_grad=True)
@@ -116,41 +119,33 @@ def dense(rows, V=8):
 
 def test_ranking_loss_equal_scores_is_log2():
     # B=1: positive and the single negative tie -> -log(1/2)
-    q = dense([{0: 1.0}])
-    pos = dense([{0: 2.0}])
-    neg = dense([{0: 2.0}])
-    loss, parts = ranking_loss(q, pos, neg, lambda_q=0.0, lambda_d=0.0)
+    reps = rep_batch([{0: 1.0}], [{0: 2.0}], [{0: 2.0}])
+    loss, flops_term = ad.ranking_loss(reps, 0.0, 0.0)
     assert abs(float(loss.data) - math.log(2.0)) < 1e-12
-    assert parts["flops_term"] == 0.0
+    assert flops_term == 0.0
 
 
 def test_ranking_loss_prefers_positive():
-    q = dense([{0: 1.0}])
-    pos = dense([{0: 10.0}])
-    neg = dense([{0: 0.0}])
-    loss, _ = ranking_loss(q, pos, neg)
+    reps = rep_batch([{0: 1.0}], [{0: 10.0}], [{0: 0.0}])
+    loss, _ = ad.ranking_loss(reps, 0.0, 0.0)
     assert float(loss.data) < 1e-3
 
 
 def test_flops_term_oracle():
     # doc batch {0:1} and {0:3}: mean activation 2, squared 4
-    q = dense([{1: 1.0}])
-    pos = dense([{0: 1.0}])
-    neg = dense([{0: 3.0}])
+    reps = rep_batch([{1: 1.0}], [{0: 1.0}], [{0: 3.0}])
     lam = 1e-4
-    _, parts = ranking_loss(q, pos, neg, lambda_q=0.0, lambda_d=lam)
-    assert abs(parts["flops_term"] - 4.0 * lam) < 1e-12
+    _, flops_term = ad.ranking_loss(reps, 0.0, lam)
+    assert abs(flops_term - 4.0 * lam) < 1e-12
     # query regularizer: single query rep {1:1} -> mean 1, squared 1
-    _, parts_q = ranking_loss(q, pos, neg, lambda_q=0.5, lambda_d=0.0)
-    assert abs(parts_q["flops_term"] - 0.5) < 1e-12
+    _, flops_term_q = ad.ranking_loss(reps, 0.5, 0.0)
+    assert abs(flops_term_q - 0.5) < 1e-12
 
 
 def test_ranking_loss_in_batch_negatives_matrix():
     # B=2 hand-computed: scores row i = [q_i.pos_i, q_i.neg_0, q_i.neg_1]
-    q = dense([{0: 1.0}, {1: 2.0}])
-    pos = dense([{0: 3.0}, {1: 1.0}])
-    neg = dense([{0: 1.0, 1: 1.0}, {0: 2.0}])
-    loss, _ = ranking_loss(q, pos, neg)
+    reps = rep_batch([{0: 1.0}, {1: 2.0}], [{0: 3.0}, {1: 1.0}], [{0: 1.0, 1: 1.0}, {0: 2.0}])
+    loss, _ = ad.ranking_loss(reps, 0.0, 0.0)
     row0 = np.array([3.0, 1.0, 2.0])
     row1 = np.array([2.0, 2.0, 0.0])
     expected = 0.5 * (
@@ -162,23 +157,22 @@ def test_ranking_loss_in_batch_negatives_matrix():
 
 def test_ranking_loss_gradcheck():
     rng = np.random.default_rng(5)
-    q = Tensor(rng.random((3, 6)), requires_grad=True)
-    pos = Tensor(rng.random((3, 6)), requires_grad=True)
-    neg = Tensor(rng.random((3, 6)), requires_grad=True)
+    reps = Tensor(rng.random((9, 6)), requires_grad=True)
 
     def loss_fn():
-        return ranking_loss(q, pos, neg, lambda_q=0.01, lambda_d=0.02)[0]
+        return ad.ranking_loss(reps, 0.01, 0.02)[0]
 
     with GradTape() as tape:
         tape.backward(loss_fn())
-    for p in (q, pos, neg):
-        numeric = ad.numeric_gradient(loss_fn, p)
-        np.testing.assert_allclose(p.grad, numeric, rtol=1e-4, atol=1e-8)
+    numeric = ad.numeric_gradient(loss_fn, reps)
+    np.testing.assert_allclose(reps.grad, numeric, rtol=1e-4, atol=1e-8)
 
 
 def test_ranking_loss_shape_mismatch():
-    with pytest.raises(ValueError):
-        ranking_loss(dense([{0: 1.0}]), dense([{0: 1.0}, {1: 1.0}]), dense([{0: 1.0}]))
+    # the batch must split into three equal, non-empty row blocks
+    for shape in ((4, 8), (0, 8), (3,)):
+        with pytest.raises(ValueError):
+            ad.ranking_loss(Tensor(np.zeros(shape)), 0.0, 0.0)
 
 
 def _oracle_ranking_loss(reps: np.ndarray, lambda_q: float, lambda_d: float):
@@ -221,12 +215,11 @@ def test_ranking_loss_bitwise_matches_numpy_oracle():
             loss, flops_term, grad = _oracle_ranking_loss(reps, lambda_q, lambda_d)
             x = Tensor(reps.copy(), requires_grad=True)
             with GradTape() as tape:
-                out, parts = ranking_loss(*(ad.slice_rows(x, i * B, (i + 1) * B) for i in range(3)),
-                                          lambda_q=lambda_q, lambda_d=lambda_d)
+                out, out_flops_term = ad.ranking_loss(x, lambda_q, lambda_d)
                 tape.backward(out)
             case = (B, lambda_q, lambda_d)
             assert out.data.tobytes() == loss.tobytes(), case
-            assert parts["flops_term"] == flops_term, case
+            assert out_flops_term == flops_term, case
             assert x.grad.tobytes() == grad.tobytes(), case
 
 
@@ -416,9 +409,7 @@ def test_freeze_changes_no_trained_gradient():
                                         mlm.labels.reshape(-1))
 
     def contrastive_loss(w):
-        reps = encode_sparse_batch(w, ids)
-        q, pos, neg = (ad.slice_rows(reps, i, i + 2) for i in (0, 2, 4))
-        return ranking_loss(q, pos, neg, lambda_q=1e-3, lambda_d=1e-4)[0]
+        return ad.ranking_loss(encode_sparse_batch(w, ids), 1e-3, 1e-4)[0]
 
     weights = init_weights(CFG, seed=7)
     for forward, frozen in ((mlm_loss, part.task_names), (contrastive_loss, part.domain_names)):
@@ -432,6 +423,12 @@ def test_freeze_changes_no_trained_gradient():
         assert n_ops <= full_ops
     # fine-tuning records nothing below layer k: the embeddings are frozen
     assert n_ops < full_ops
+    # the whole fine-tune loss is one op on the tape
+    with GradTape() as tape:
+        reps = encode_sparse_batch(weights, ids)
+        n_encoder = len(tape)
+        ad.ranking_loss(reps, 1e-3, 1e-4)
+        assert len(tape) == n_encoder + 1
 
 
 def test_fused_ops_with_frozen_weights_still_pass_the_input_gradient():
@@ -457,7 +454,7 @@ def test_fused_ops_with_frozen_weights_still_pass_the_input_gradient():
             x.grad = None
             with GradTape() as tape:
                 out = op(x, *weights)
-                tape.backward(ad.sum_all(ad.mul(out, out)))
+                tape.backward(ad.softmax_cross_entropy(out, np.arange(6) % out.shape[1]))
             return x.grad
 
         full = input_grad()
@@ -544,3 +541,40 @@ def test_pipeline_mode_validation():
     with pytest.raises(ValueError):
         PipelineSpec(model=CFG, mode="bogus")
     assert set(MODES) == {"full", "wo_source", "wo_pretraining"}
+
+
+BAD_TRAINING_NUMBERS = [  # (PipelineSpec field, value, the StageSpec field the error names)
+    ("lambda_d", -1.0, "lambda_d"),
+    ("lambda_q", float("nan"), "lambda_q"),
+    ("lambda_d", float("inf"), "lambda_d"),
+    ("lr", -0.1, "lr"),
+    ("lr", 0.0, "lr"),
+    ("lr", float("inf"), "lr"),
+    ("mask_prob", 1.5, "mask_prob"),
+    ("mask_prob", float("nan"), "mask_prob"),
+    ("pretrain_steps", -3, "steps"),
+    ("finetune_steps", -1, "steps"),
+    ("batch_size", 0, "batch_size"),
+]
+
+
+@pytest.mark.parametrize("field, value, named", BAD_TRAINING_NUMBERS)
+def test_pipeline_spec_refuses_bad_training_numbers(field, value, named):
+    # a negative lambda_d rewards density, and a NaN would train to NaN weights
+    with pytest.raises(ValueError, match=rf"\b{named} must be"):
+        PipelineSpec(model=CFG, **{field: value})
+
+
+@pytest.mark.parametrize("field, value, named", BAD_TRAINING_NUMBERS)
+def test_config_pipeline_section_refuses_bad_training_numbers(tmp_path, field, value, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pipeline": {field: value}}))  # NaN and Infinity as JSON extensions
+    with pytest.raises(ValueError, match=rf"\b{named} must be"):
+        load_config(path)
+
+
+def test_pipeline_spec_accepts_the_edges_of_each_range():
+    spec = PipelineSpec(model=CFG, pretrain_steps=0, finetune_steps=0, batch_size=1, lr=1e-9,
+                        mask_prob=1.0, lambda_q=0.0, lambda_d=0.0)
+    assert spec.finetune_stage().lambda_d == 0.0 and spec.pretrain_stage("pretrain_target").mask_prob == 1.0
+    assert PipelineSpec(model=CFG, mask_prob=0.0).pretrain_stage("pretrain_source").mask_prob == 0.0
