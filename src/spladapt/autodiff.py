@@ -10,9 +10,14 @@ gradient-check work (ops keep the input dtype).
 
 The encoder's layers run on three fused ops with hand-written backward
 passes: linear (x @ w + b), self_attention (Q/K/V projections, heads as
-numpy views, scaled masked softmax, head merge) and feed_forward (linear,
-exact GELU, linear). Each computes the gradient only of an input that
-requires grad, so a frozen op still passes the gradient back to its input.
+numpy views, scaled softmax, head merge) and feed_forward (linear, exact
+GELU, linear). Each computes the gradient only of an input that requires
+grad, so a frozen op still passes the gradient back to its input.
+
+The rows of self_attention and splade_pool are packed sequences with no
+padding, tiled by blocks of (rows, S) pairs, each rows slice holding whole
+sequences of S positions. Both ops work on reshaped views of each block, so
+each sequence's arithmetic depends on that sequence alone.
 
 splade_pool fuses the whole SPLADE head. It computes the pooling argmax only
 while a tape records it (training), and its backward builds the logit
@@ -285,50 +290,52 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
 
 
 def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
-                   wv: Tensor, bv: Tensor, key_mask: np.ndarray, heads: int) -> Tensor:
+                   wv: Tensor, bv: Tensor, blocks: Sequence[tuple[slice, int]], heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention, before the output projection.
 
-    x (B*S, d) holds B sequences of S positions; key_mask (B, S) is added to
-    every query's scores for that key (0 to attend, -inf to block). Each of
-    the H = heads heads attends with d/H of the columns of
-    q = x @ wq + bq, k = x @ wk + bk and v = x @ wv + bv; the heads' contexts
-    are merged back to (B*S, d).
+    x (n, d) holds packed sequences, tiled by blocks (_n_seqs); a position
+    attends only within its own sequence. Each of the H = heads heads
+    attends with d/H of the columns of
+    q = x @ wq + bq, k = x @ wk + bk and v = x @ wv + bv; the heads'
+    contexts are merged back to (n, d).
     """
-    B, S = key_mask.shape
     n, d = x.shape
-    if n != B * S or d % heads:
-        raise ValueError(f"self_attention: input {x.shape}, key mask {key_mask.shape} "
-                         f"and {heads} heads do not fit")
+    _n_seqs(n, blocks)
+    if d % heads:
+        raise ValueError(f"self_attention: width {d} does not split into {heads} heads")
     dh = d // heads
     scale = x.dtype.type(1.0 / np.sqrt(dh))
 
-    def split(t: np.ndarray) -> np.ndarray:  # (B*S, d) -> (B, H, S, dh), a view
-        return t.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
+    def split(t: np.ndarray, S: int) -> np.ndarray:  # (c*S, d) -> (c, H, S, dh), a view
+        return t.reshape(-1, S, heads, dh).transpose(0, 2, 1, 3)
 
     q, k, v = (_affine(x.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    q4, k4, v4 = split(q), split(k), split(v)
-    p = q4 @ k4.transpose(0, 1, 3, 2)  # (B, H, S, S): scores, then probabilities
-    p *= scale
-    p += key_mask[:, None, None, :]
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = Tensor((p @ v4).transpose(0, 2, 1, 3).reshape(n, d))
+    out = Tensor(np.empty_like(q))
+    probs = []  # per block (c, H, S, S): scores, then probabilities
+    for rows, S in blocks:
+        p = split(q[rows], S) @ split(k[rows], S).transpose(0, 1, 3, 2)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, split(v[rows], S), out=split(out.data[rows], S))
+        probs.append(p)
 
     def backward():
         g = out.grad
         if g is None:
             return
-        g4 = split(g)
-        dqkv = np.empty((B, S, 3, heads, dh), dtype=g.dtype)  # rows of [dq | dk | dv]
-        dq4, dk4, dv4 = (dqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))
-        np.matmul(p.transpose(0, 1, 3, 2), g4, out=dv4)
-        ds = g4 @ v4.transpose(0, 1, 3, 2)  # d p, then d scores
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        np.matmul(ds, k4, out=dq4)
-        np.matmul(ds.transpose(0, 1, 3, 2), q4, out=dk4)
+        dqkv = np.empty((n, 3, heads, dh), dtype=g.dtype)  # rows of [dq | dk | dv]
+        for (rows, S), p in zip(blocks, probs):
+            q4, k4, v4, g4 = (split(t[rows], S) for t in (q, k, v, g))
+            dq4, dk4, dv4 = (split(dqkv[rows, i], S) for i in range(3))
+            np.matmul(p.transpose(0, 1, 3, 2), g4, out=dv4)
+            ds = g4 @ v4.transpose(0, 1, 3, 2)  # d p, then d scores
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            np.matmul(ds, k4, out=dq4)
+            np.matmul(ds.transpose(0, 1, 3, 2), q4, out=dk4)
         dqkv = dqkv.reshape(n, 3 * d)
         for i, (w, b) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
             _linear_grads(x.data, dqkv[:, i * d:(i + 1) * d], w, b)
@@ -337,6 +344,21 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
 
     _record((x, wq, bq, wk, bk, wv, bv), out, backward)
     return out
+
+
+def _n_seqs(n: int, blocks: Sequence[tuple[slice, int]]) -> int:
+    """The number of sequences in blocks, which must tile rows 0..n in order,
+    each (rows, S) a step-1 slice of whole sequences of S positions."""
+    start = count = 0
+    for rows, S in blocks:
+        if rows.start != start or rows.step is not None or S < 1 or rows.stop <= start \
+                or (rows.stop - start) % S:
+            break
+        start, count = rows.stop, count + (rows.stop - start) // S
+    else:
+        if start == n:
+            return count
+    raise ValueError(f"blocks {list(blocks)} do not tile {n} rows")
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -367,26 +389,34 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 # ---------------------------------------------------------------- SPLADE head and loss
 
 
-def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Tensor:
-    """The SPLADE head: h (B*S, d) hidden states, emb (V, d) tied token
-    embeddings, bias (V,), content bool (B, S) -> (B, V) with
+def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray,
+                blocks: Sequence[tuple[slice, int]], order: Sequence[int]) -> Tensor:
+    """The SPLADE head: h (n, d) hidden states of packed sequences, emb (V, d)
+    tied token embeddings, bias (V,), content bool (n,) marking the rows
+    that pool, blocks as in self_attention, and order[j] the output row of
+    the j-th packed sequence -> (len(order), V) with
 
-        out[b, v] = log(1 + relu(max over content s of h[b*S + s] . emb[v] + bias[v])).
+        out[order[j], v] = log(1 + relu(max over content rows r of sequence j
+                                        of h[r] . emb[v] + bias[v])).
 
-    The gradient of the max goes to the first maximal content position. The
-    (B*S, V) logits are not kept; a row without content pools to 0, and a
-    NaN max stays NaN.
+    The gradient of the max goes to the first maximal content row. The
+    (n, V) logits are not kept; a sequence without content pools to 0, and
+    a NaN max stays NaN.
     """
-    B, S = content.shape
-    V = emb.shape[0]
-    if B * S != h.shape[0] or emb.shape[1] != h.shape[1] or bias.shape != (V,):
-        raise ValueError(f"splade_pool: hidden {h.shape}, embeddings {emb.shape}, "
-                         f"bias {bias.shape} and content {content.shape} do not fit")
+    n, V, B = h.shape[0], emb.shape[0], len(order)
+    if emb.shape[1] != h.shape[1] or bias.shape != (V,) or content.shape != (n,) or B != _n_seqs(n, blocks):
+        raise ValueError(f"splade_pool: hidden {h.shape}, embeddings {emb.shape}, bias {bias.shape}, "
+                         f"content {content.shape} and {B} sequences do not fit")
     logits = h.data @ emb.data.T
     logits += bias.data
-    logits = logits.reshape(B, S, V)
     logits[~content] = -np.inf
-    m = logits.max(axis=1)
+    m = np.empty((B, V), dtype=logits.dtype)
+    per_block, j = [], 0  # its (c, S, V) logits, their maxima, output rows, first row, S
+    for rows, S in blocks:
+        blk = logits[rows].reshape(-1, S, V)
+        at, j = order[j: j + len(blk)], j + len(blk)
+        m[at] = blk_max = blk.max(axis=1)
+        per_block.append((blk, blk_max, at, rows.start, S))
     pos = ~(m <= 0)  # true for NaN too
     relu = np.where(pos, m, 0)
     out = Tensor(np.log1p(relu))
@@ -396,9 +426,8 @@ def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Te
         if g is None:
             return
         dm = np.where(pos, g / (1 + relu), 0)
-        # d logits, transposed: row v holds the B entries (rows[b, v], dm[b, v])
-        dlt = sp.csr_array((dm.T.ravel(), rows.T.ravel(), np.arange(0, B * V + 1, B)),
-                           shape=(V, B * S))
+        # d logits, transposed: row v holds the B entries (arg[b, v], dm[b, v])
+        dlt = sp.csr_array((dm.T.ravel(), arg.T.ravel(), np.arange(0, B * V + 1, B)), shape=(V, n))
         if h.requires_grad:
             _accum(h, dlt.T @ emb.data)
         if emb.requires_grad:
@@ -407,8 +436,11 @@ def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray) -> Te
             _accum(bias, dm.sum(axis=0))
 
     _record((h, emb, bias), out, backward)
-    if out.requires_grad:  # recorded: backward needs the flat row of each max
-        rows = (logits == m[:, None, :]).argmax(axis=1) + (np.arange(B) * S)[:, None]
+    if out.requires_grad:  # recorded: backward needs the packed row of each max
+        arg = np.empty(m.shape, dtype=np.int64)
+        for blk, blk_max, at, start, S in per_block:
+            first_rows = start + S * np.arange(len(blk))
+            arg[at] = (blk == blk_max[:, None, :]).argmax(axis=1) + first_rows[:, None]
     return out
 
 

@@ -10,6 +10,9 @@ ascending doc id order, column t for term id t, concatenated from each doc's
                once from the counts, doc lengths and avgdl with the
                constants k1 = BM25_K1 = 0.9 and b = BM25_B = 0.4.
 
+encode_corpus batches the docs with content tokens; a doc's vector does not
+depend on its batch-mates, since the encoder packs a batch without padding.
+
 Ranking everywhere is (score descending, doc id ascending). Top-k is exact:
 every document with a nonzero score is considered, no approximation.
 
@@ -36,7 +39,7 @@ import scipy.sparse as sp
 
 from .model import EncoderWeights, SparseVector, encode_sparse_batch
 from .params import _read_json, _require, _write_atomic, fnv1a64
-from .vocab import N_SPECIALS, PAD_ID, UNK_ID, Vocabulary, tokenize
+from .vocab import N_SPECIALS, UNK_ID, Vocabulary, tokenize
 
 __all__ = [
     "INDEX_KINDS", "BM25_K1", "BM25_B",
@@ -124,18 +127,14 @@ def _index(kind: str, rows: dict[str, tuple], doc_lengths: dict[str, int]) -> In
 def encode_corpus(weights: EncoderWeights, docs: dict[str, str], vocab: Vocabulary,
                   batch_size: int = 32) -> dict[str, SparseVector]:
     """Each doc's strictly positive encoder row entries (empty without content
-    tokens), batched for throughput; a non-finite row is refused, naming its doc."""
+    tokens), batched for throughput with the same bytes as one doc at a time;
+    a non-finite row is refused, naming its doc."""
     seqs = {d: vocab.encode(text, weights.config.max_seq_len) for d, text in docs.items()}
     reps = dict.fromkeys(seqs, SparseVector())
-    items = list(seqs.items())
+    items = [(d, s) for d, s in seqs.items() if (s >= N_SPECIALS).any()]
     for start in range(0, len(items), batch_size):
-        chunk = [(d, s) for d, s in items[start: start + batch_size] if (s >= N_SPECIALS).any()]
-        if not chunk:
-            continue
-        ids = np.full((len(chunk), max(len(s) for _, s in chunk)), PAD_ID, dtype=np.int64)
-        for row, (_, s) in enumerate(chunk):
-            ids[row, : len(s)] = s
-        for (doc_id, _), row in zip(chunk, encode_sparse_batch(weights, ids).data):
+        chunk = items[start: start + batch_size]
+        for (doc_id, _), row in zip(chunk, encode_sparse_batch(weights, [s for _, s in chunk]).data):
             if not np.isfinite(row).all():
                 raise ValueError(f"encoder row of {doc_id!r} holds a non-finite weight")
             tids = np.flatnonzero(row > 0)

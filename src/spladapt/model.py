@@ -3,17 +3,23 @@ sparse document/query representations derived from it: a SparseVector is two
 numpy arrays, ascending term ids (int64) and their finite positive weights
 (float64).
 
+A batch is a sequence of 1-D token id arrays. _pack drops their [PAD] ids
+and concatenates them sorted by length, one block of rows per length, with
+no padding; attention and pooling work within each sequence, and outputs
+come back in the caller's order. So a text encodes to the same bytes alone
+as in any batch.
+
 A layer is three fused autodiff ops plus two residual layer norms:
 ad.self_attention and ad.linear (its output projection), then ad.add of the
 residual and ad.layer_norm; ad.feed_forward, then the same again.
 
 A representation weight for vocabulary term j is
     w_j = log(1 + relu(max_i logit_ij))
-with the max over non-special positions i. The whole head (tied projection,
-masked max-pool, log1p-relu) is one autodiff op, ad.splade_pool. It pools
-before log1p(relu(.)), which is nondecreasing, so the result is identical
-to pooling the transformed logits; it computes the pooling argmax only while
-a tape records, i.e. while training.
+with the max over the sequence's non-special positions i. The whole head
+(tied projection, max-pool, log1p-relu) is one autodiff op, ad.splade_pool.
+It pools before log1p(relu(.)), which is nondecreasing, so the result is
+identical to pooling the transformed logits; it computes the pooling argmax
+only while a tape records, i.e. while training.
 
 The MLM output projection is tied to the token embedding matrix and is never
 materialized; only its bias ("mlm.bias") is a separate parameter. MLM
@@ -23,6 +29,7 @@ training projects only the supervised positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,31 +167,53 @@ def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> EncoderWei
     return EncoderWeights(config, tensors)
 
 
-def _validate_ids(config: ModelConfig, ids: np.ndarray) -> None:
-    if ids.ndim != 2:
-        raise ValueError(f"token ids must be 2-D [batch, seq], got shape {ids.shape}")
-    if ids.shape[1] > config.max_seq_len:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_seq_len {config.max_seq_len}")
-    if ids.size == 0:
-        raise ValueError("empty token id batch")
+class _Packed(NamedTuple):
+    """A batch's tokens with no [PAD] row, its sequences stably sorted by
+    length so that each length is one contiguous block of rows."""
+
+    ids: np.ndarray                  # (n,) token ids, sequence after sequence
+    positions: np.ndarray            # (n,) each token's position in its sequence
+    blocks: list[tuple[slice, int]]  # (rows, length) per run of equal lengths
+    order: list[int]                 # the caller's index of each packed sequence
+    spans: list[slice]               # per caller sequence, its packed rows
+
+
+def _pack(config: ModelConfig, seqs: Sequence[np.ndarray]) -> _Packed:
+    """Pack 1-D id sequences without their [PAD] ids, so the rows of a
+    PAD-padded (B, S) matrix read as their own sequences."""
+    arrays = []
+    for i, seq in enumerate(map(np.asarray, seqs)):
+        seq = seq[seq != PAD_ID] if seq.ndim == 1 else seq
+        if seq.ndim != 1 or not 0 < len(seq) <= config.max_seq_len:
+            raise ValueError(f"sequence {i}: ids of shape {seq.shape} without [PAD]; expected "
+                             f"1-D, of length 1 to max_seq_len {config.max_seq_len}")
+        arrays.append(seq)
+    if not arrays:
+        raise ValueError("empty batch: no sequences to encode")
+    lengths = [len(seq) for seq in arrays]
+    order = sorted(range(len(arrays)), key=lengths.__getitem__)
+    ids = np.concatenate([arrays[i] for i in order])
     if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError(f"token id out of range [0, {config.vocab_size})")
+        bad = next(i for i, seq in enumerate(arrays) if seq.min() < 0 or seq.max() >= config.vocab_size)
+        raise ValueError(f"sequence {bad}: token id out of range [0, {config.vocab_size})")
+    blocks, spans, row = [], [slice(0)] * len(arrays), 0
+    for i in order:
+        S = lengths[i]
+        first = blocks.pop()[0].start if blocks and blocks[-1][1] == S else row
+        blocks.append((slice(first, row + S), S))
+        spans[i], row = slice(row, row + S), row + S
+    positions = np.concatenate([np.arange(lengths[i]) for i in order])
+    return _Packed(ids, positions, blocks, order, spans)
 
 
-def _encoder_hidden(w: EncoderWeights, ids: np.ndarray) -> Tensor:
-    """ids (B, S) int -> hidden states (B*S, d). [PAD] positions are blocked
-    as attention keys but still produce (ignored) outputs."""
+def _encoder_hidden(w: EncoderWeights, batch: _Packed) -> Tensor:
+    """Packed ids (n,) -> hidden states (n, d)."""
     cfg = w.config
-    B, S = ids.shape
-    flat_ids = ids.reshape(-1)
-    pos_ids = np.tile(np.arange(S, dtype=np.int64), B)
-    h = ad.add(ad.gather_rows(w["emb.token"], flat_ids), ad.gather_rows(w["emb.position"], pos_ids))
-
-    key_mask = np.where(ids == PAD_ID, h.dtype.type(-np.inf), h.dtype.type(0.0))
+    h = ad.add(ad.gather_rows(w["emb.token"], batch.ids), ad.gather_rows(w["emb.position"], batch.positions))
     for i in range(cfg.n_layers):
         p = f"layer.{i}."
         ctx = ad.self_attention(h, w[p + "attn.wq"], w[p + "attn.bq"], w[p + "attn.wk"], w[p + "attn.bk"],
-                                w[p + "attn.wv"], w[p + "attn.bv"], key_mask, cfg.n_heads)
+                                w[p + "attn.wv"], w[p + "attn.bv"], batch.blocks, cfg.n_heads)
         attn_out = ad.linear(ctx, w[p + "attn.wo"], w[p + "attn.bo"])
         h = ad.layer_norm(ad.add(h, attn_out), w[p + "ln1.gain"], w[p + "ln1.bias"], eps=LN_EPS)
         ffn = ad.feed_forward(h, w[p + "ffn.w1"], w[p + "ffn.b1"], w[p + "ffn.w2"], w[p + "ffn.b2"])
@@ -192,11 +221,16 @@ def _encoder_hidden(w: EncoderWeights, ids: np.ndarray) -> Tensor:
     return h
 
 
-def mlm_logits(w: EncoderWeights, ids: np.ndarray, rows: np.ndarray) -> Tensor:
-    """ids (B, S) -> logits (len(rows), V) through the tied output projection,
-    at the flat positions rows (indices into B*S), in that order."""
-    _validate_ids(w.config, ids)
-    h = ad.gather_rows(_encoder_hidden(w, ids), rows)
+def mlm_logits(w: EncoderWeights, seqs: Sequence[np.ndarray], rows: np.ndarray) -> Tensor:
+    """1-D id sequences -> logits (len(rows), V) through the tied output
+    projection, at rows, indices into the concatenation of the sequences
+    (without [PAD]), in that order."""
+    batch = _pack(w.config, seqs)
+    rows = np.asarray(rows)
+    if rows.size and (rows.min() < 0 or rows.max() >= len(batch.ids)):
+        raise IndexError(f"mlm_logits: row out of range for {len(batch.ids)} tokens")
+    packed_rows = np.concatenate([np.arange(span.start, span.stop) for span in batch.spans])
+    h = ad.gather_rows(_encoder_hidden(w, batch), packed_rows[rows])
     return ad.linear(h, ad.transpose2d(w["emb.token"]), w["mlm.bias"])
 
 
@@ -233,13 +267,15 @@ class SparseVector:
         return list(zip(self.tids.tolist(), self.vals.tolist()))
 
 
-def encode_sparse_batch(w: EncoderWeights, ids: np.ndarray) -> Tensor:
-    """ids (B, S) -> dense representations (B, V): per-term max of MLM logits
-    over non-special positions, then log1p(relu(.)). Differentiable; run it
-    under a tape during training."""
-    _validate_ids(w.config, ids)
-    content = ids >= N_SPECIALS
-    if not content.any(axis=1).all():
-        bad = int(np.flatnonzero(~content.any(axis=1))[0])
+def encode_sparse_batch(w: EncoderWeights, seqs: Sequence[np.ndarray]) -> Tensor:
+    """1-D id sequences -> dense representations (len(seqs), V), in their
+    order: per-term max of MLM logits over non-special positions, then
+    log1p(relu(.)). Differentiable; run it under a tape during training."""
+    batch = _pack(w.config, seqs)
+    content = batch.ids >= N_SPECIALS
+    has_content = np.logical_or.reduceat(content, sorted(span.start for span in batch.spans))
+    if not has_content.all():
+        bad = min(batch.order[j] for j in np.flatnonzero(~has_content))
         raise ValueError(f"sequence {bad} has no content terms to pool over")
-    return ad.splade_pool(_encoder_hidden(w, ids), w["emb.token"], w["mlm.bias"], content)
+    return ad.splade_pool(_encoder_hidden(w, batch), w["emb.token"], w["mlm.bias"], content,
+                          batch.blocks, batch.order)

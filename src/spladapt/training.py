@@ -16,6 +16,9 @@ requires_grad off on the frozen subset for the stage, so backward computes
 no gradient for it and Adam updates, and keeps moments for, the trained
 subset only.
 
+The stages hand the encoder lists of 1-D id sequences, with no padding; an
+MLM batch's labels follow the concatenation of its sequences.
+
 Each stage owns a single seeded generator; with fixed seeds and inputs the
 resulting checkpoints are bit-reproducible on one numpy/BLAS build at one
 BLAS thread count. Across thread counts, matrix products sum in a different
@@ -51,7 +54,7 @@ from .data import TrainTriple
 from .model import EncoderWeights, ModelConfig, encode_sparse_batch, init_weights, mlm_logits
 from .optim import AdamState, adam_step
 from .params import Checkpoint, compose, partition_parameters, save_checkpoint
-from .vocab import MASK_ID, N_SPECIALS, PAD_ID, Vocabulary
+from .vocab import MASK_ID, N_SPECIALS, Vocabulary
 
 __all__ = [
     "MASK_ACTIONS", "mask_tokens", "MlmBatch", "build_mlm_batch",
@@ -104,9 +107,8 @@ def mask_tokens(ids: np.ndarray, rng: np.random.Generator, vocab_size: int,
 
 @dataclass
 class MlmBatch:
-    input_ids: np.ndarray   # (B, S) int, PAD-padded
-    labels: np.ndarray      # (B, S) int, IGNORE_INDEX where unsupervised
-    actions: np.ndarray     # (B, S) int8 mask bookkeeping
+    input_ids: list[np.ndarray]   # the masked sequences
+    labels: np.ndarray            # their labels, concatenated; IGNORE_INDEX where unsupervised
 
     @property
     def n_supervised(self) -> int:
@@ -115,20 +117,11 @@ class MlmBatch:
 
 def build_mlm_batch(sequences: Sequence[np.ndarray], rng: np.random.Generator,
                     vocab_size: int, mask_prob: float = 0.15) -> MlmBatch:
-    """Mask each sequence and pad the batch to its longest row."""
+    """Mask each sequence; labels follow the concatenation of the sequences."""
     if not sequences:
         raise ValueError("empty batch")
-    rows = [mask_tokens(seq, rng, vocab_size, mask_prob) for seq in sequences]
-    S = max(len(r[0]) for r in rows)
-    B = len(rows)
-    input_ids = np.full((B, S), PAD_ID, dtype=np.int64)
-    labels = np.full((B, S), ad.IGNORE_INDEX, dtype=np.int64)
-    actions = np.zeros((B, S), dtype=np.int8)
-    for b, (inp, lab, act) in enumerate(rows):
-        input_ids[b, : len(inp)] = inp
-        labels[b, : len(lab)] = lab
-        actions[b, : len(act)] = act
-    return MlmBatch(input_ids, labels, actions)
+    masked = [mask_tokens(seq, rng, vocab_size, mask_prob) for seq in sequences]
+    return MlmBatch([ids for ids, _, _ in masked], np.concatenate([labels for _, labels, _ in masked]))
 
 
 @dataclass
@@ -219,9 +212,8 @@ def pretrain_mlm(base: Checkpoint, docs: Sequence[str], vocab: Vocabulary,
 
     def step_loss(rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
         batch = _sample_supervised_batch(cache, rng, cfg.vocab_size, spec)
-        labels = batch.labels.reshape(-1)
-        rows = np.flatnonzero(labels != ad.IGNORE_INDEX)
-        loss = ad.softmax_cross_entropy(mlm_logits(weights, batch.input_ids, rows), labels[rows])
+        rows = np.flatnonzero(batch.labels != ad.IGNORE_INDEX)
+        loss = ad.softmax_cross_entropy(mlm_logits(weights, batch.input_ids, rows), batch.labels[rows])
         return loss, {"loss": float(loss.data)}
 
     return _train_stage(base, weights, partition_parameters(cfg).domain_names, spec,
@@ -254,14 +246,18 @@ def finetune_ir(pretrained: Checkpoint, triples: Sequence[TrainTriple], docs: di
         raise ValueError(f"finetune_ir got stage {spec.stage!r}")
     if not triples:
         raise ValueError("no training triples")
-    unknown = sorted(({t.pos_doc_id for t in triples} | {t.neg_doc_id for t in triples}) - docs.keys())
+    named = {t.pos_doc_id for t in triples} | {t.neg_doc_id for t in triples}
+    unknown = sorted(named - docs.keys())
     if unknown:
         raise ValueError(f"triples reference unknown docs: {unknown[:10]}")
     cfg = pretrained.config
     if len(vocab) != cfg.vocab_size:
         raise ValueError(f"vocabulary size {len(vocab)} != model vocab_size {cfg.vocab_size}")
     weights = pretrained.weights.copy()
-    doc_cache = {d: vocab.encode(text, cfg.max_seq_len) for d, text in docs.items()}
+    doc_cache = {d: vocab.encode(docs[d], cfg.max_seq_len) for d in named}
+    empty = sorted(d for d, seq in doc_cache.items() if not (seq >= N_SPECIALS).any())
+    if empty:
+        raise ValueError(f"triples reference docs with no content tokens: {empty[:10]}")
     query_cache = [vocab.encode(t.query, cfg.max_seq_len) for t in triples]
     for i, seq in enumerate(query_cache):
         if not (seq >= N_SPECIALS).any():
@@ -273,10 +269,7 @@ def finetune_ir(pretrained: Checkpoint, triples: Sequence[TrainTriple], docs: di
         seqs = [query_cache[i] for i in idx]
         seqs += [doc_cache[triples[i].pos_doc_id] for i in idx]
         seqs += [doc_cache[triples[i].neg_doc_id] for i in idx]
-        ids = np.full((3 * B, max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
-        for r, s in enumerate(seqs):
-            ids[r, : len(s)] = s
-        loss, flops_term = ad.ranking_loss(encode_sparse_batch(weights, ids),
+        loss, flops_term = ad.ranking_loss(encode_sparse_batch(weights, seqs),
                                            spec.lambda_q, spec.lambda_d)
         return loss, {"loss": float(loss.data), "flops_term": flops_term}
 

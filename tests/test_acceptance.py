@@ -220,11 +220,10 @@ def test_every_op_and_the_full_encoder_match_finite_differences(capfd):
 
     li_x, li_w, li_b = t(3, 4), t(4, 2), t(2)
     case("linear", [li_x, li_w, li_b], lambda: ad.linear(li_x, li_w, li_b))
-    sa_x = t(2 * 4, 6)
+    sa_x = t(2 * 2 + 3 + 4, 6)
     sa_w = [t(*shape) for shape in ((6, 6), (6,)) * 3]  # wq, bq, wk, bk, wv, bv
-    sa_mask = np.zeros((2, 4))
-    sa_mask[1, 2:] = -np.inf  # padded keys
-    case("self_attention", [sa_x, *sa_w], lambda: ad.self_attention(sa_x, *sa_w, sa_mask, heads=2))
+    sa_blocks = [(slice(0, 4), 2), (slice(4, 7), 3), (slice(7, 11), 4)]  # packed lengths 2, 2, 3, 4
+    case("self_attention", [sa_x, *sa_w], lambda: ad.self_attention(sa_x, *sa_w, sa_blocks, heads=2))
     fx, fw1, fb1, fw2, fb2 = t(5, 3), t(3, 4), t(4), t(4, 3), t(3)
     case("feed_forward", [fx, fw1, fb1, fw2, fb2], lambda: ad.feed_forward(fx, fw1, fb1, fw2, fb2))
     tr = t(3, 4)
@@ -236,11 +235,12 @@ def test_every_op_and_the_full_encoder_match_finite_differences(capfd):
     case("gather_rows", [ga], lambda: ad.gather_rows(ga, ga_ids))
     lx, lg, lb = t(4, 6), t(6), t(6)
     case("layer_norm", [lx, lg, lb], lambda: ad.layer_norm(lx, lg, lb))
-    sp_h, sp_emb, sp_bias = t(4 * 5, 3), t(6, 3), t(6, away_from=0.2)  # random: no ties
-    sp_content = rng.random((4, 5)) < 0.6
-    sp_content[:, 2] = True
+    sp_h, sp_emb, sp_bias = t(2 * 4 + 5 + 7, 3), t(6, 3), t(6, away_from=0.2)  # random: no ties
+    sp_content = rng.random(20) < 0.6
+    sp_content[[0, 4, 8, 13]] = True
+    sp_layout = sp_content, [(slice(0, 8), 4), (slice(8, 13), 5), (slice(13, 20), 7)], [3, 1, 0, 2]
     case("splade_pool", [sp_h, sp_emb, sp_bias],
-         lambda: ad.splade_pool(sp_h, sp_emb, sp_bias, sp_content))
+         lambda: ad.splade_pool(sp_h, sp_emb, sp_bias, *sp_layout))
     ce = t(6, 9)
     ce_targets = np.array([1, 3, ad.IGNORE_INDEX, 0, 8, 2])
     cases.append(("softmax_cross_entropy", [ce], lambda: ad.softmax_cross_entropy(ce, ce_targets)))
@@ -260,15 +260,16 @@ def test_every_op_and_the_full_encoder_match_finite_differences(capfd):
     cfg = ModelConfig(vocab_size=20, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
                       max_seq_len=12, k_domain_layers=1)
     weights = init_weights(cfg, seed=5, dtype=np.float64)
-    ids = rng.integers(N_SPECIALS, cfg.vocab_size, size=(3, 10))  # a query, its positive, a negative
-    ids[1, 8:] = 0  # padding must not leak gradients
-    labels = rng.integers(N_SPECIALS, cfg.vocab_size, size=30)
+    # two triples of a query, its positive and a negative: lengths 4, 4, 6,
+    # 7, 10 and 10, in an order the encoder packs differently
+    seqs = [rng.integers(N_SPECIALS, cfg.vocab_size, size=n) for n in (4, 10, 6, 7, 10, 4)]
+    labels = rng.integers(N_SPECIALS, cfg.vocab_size, size=41)
     labels[::3] = ad.IGNORE_INDEX
     rows = np.flatnonzero(labels != ad.IGNORE_INDEX)  # MLM projects supervised rows only
 
     def encoder_loss():
-        lm = ad.softmax_cross_entropy(mlm_logits(weights, ids, rows), labels[rows])
-        return ad.add(lm, ad.ranking_loss(encode_sparse_batch(weights, ids), 0.1, 0.2)[0])
+        lm = ad.softmax_cross_entropy(mlm_logits(weights, seqs, rows), labels[rows])
+        return ad.add(lm, ad.ranking_loss(encode_sparse_batch(weights, seqs), 0.1, 0.2)[0])
 
     enc_err = _max_grad_err(encoder_loss, list(weights.tensors.values()))
     assert enc_err < 1e-4, f"full encoder: rel err {enc_err:.2e}"

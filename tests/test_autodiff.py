@@ -31,15 +31,15 @@ def score_block(scores):
     return wq
 
 
-def attention_probs(wq, key_mask):
-    """One-head self_attention whose score matrix is wq[:S, :S], S = len(key_mask),
-    and whose output's first S columns are the attention probabilities:
-    x = [I | 0], wk = 4 I and wv = I at width 16, where the scale 1/4 undoes
-    the factor 4 exactly."""
-    S, eye = key_mask.shape[0], np.eye(16)
+def attention_probs(wq, blocks):
+    """One-head self_attention over the n rows that blocks tile, whose score
+    matrix is wq[:n, :n] and whose output's first n columns are the attention
+    probabilities: x = [I | 0], wk = 4 I and wv = I at width 16, where the
+    scale 1/4 undoes the factor 4 exactly."""
+    n, eye = blocks[-1][0].stop, np.eye(16)
     zero = t64(np.zeros(16), req=False)
-    return ad.self_attention(t64(eye[:S], req=False), wq, zero, t64(4 * eye, req=False), zero,
-                             t64(eye, req=False), zero, key_mask[None, :], heads=1)
+    return ad.self_attention(t64(eye[:n], req=False), wq, zero, t64(4 * eye, req=False), zero,
+                             t64(eye, req=False), zero, blocks, heads=1)
 
 
 def assert_grads_match(make_loss, params, eps=1e-5, rtol=1e-4, atol=1e-8):
@@ -103,16 +103,25 @@ def test_cross_entropy_target_out_of_range():
 
 def test_splade_pool_values():
     # identity embeddings: logits are h + bias; per column, the max over the
-    # content rows (the last row is masked out), then log(1 + relu(.))
-    h = t64([[-2.0, 0.0, 1.0], [-3.0, -1.0, 3.0], [9.0, 9.0, 9.0]])
+    # content rows of each sequence, then log(1 + relu(.)). Rows 0-2 are one
+    # sequence (its last row is not content), row 3 another, written out
+    # first: output rows follow order, not the packing
+    h = t64([[-2.0, 0.0, 1.0], [-3.0, -1.0, 3.0], [9.0, 9.0, 9.0], [0.5, 2.0, -1.0]])
     bias = t64([0.0, 0.0, 0.0])
-    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.array([[True, True, False]]))
-    np.testing.assert_allclose(out.data, [[0.0, 0.0, math.log(4.0)]], atol=1e-12)
+    content = np.array([True, True, False, True])
+    blocks = [(slice(0, 3), 3), (slice(3, 4), 1)]
+    out = ad.splade_pool(h, t64(np.eye(3)), bias, content, blocks, [1, 0])
+    np.testing.assert_allclose(out.data, [[math.log(1.5), math.log(3.0), 0.0],
+                                          [0.0, 0.0, math.log(4.0)]], atol=1e-12)
     bias.data[:] = [1.5, -0.5, 0.0]
-    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.array([[True, True, False]]))
-    np.testing.assert_allclose(out.data, [[0.0, 0.0, math.log(4.0)]], atol=1e-12)
-    with pytest.raises(ValueError):
-        ad.splade_pool(h, t64(np.eye(3)), bias, np.ones((2, 2), dtype=bool))
+    out = ad.splade_pool(h, t64(np.eye(3)), bias, content, blocks, [1, 0])
+    np.testing.assert_allclose(out.data[1], [0.0, 0.0, math.log(4.0)], atol=1e-12)
+    for bad_content, bad_blocks, bad_order in ((np.ones(3, dtype=bool), blocks, [1, 0]),
+                                               (content, [(slice(0, 4), 3)], [0]),
+                                               (content, blocks[:1], [0]),
+                                               (content, blocks, [0])):
+        with pytest.raises(ValueError):
+            ad.splade_pool(h, t64(np.eye(3)), bias, bad_content, bad_blocks, bad_order)
 
 
 def test_gelu_values():
@@ -125,40 +134,45 @@ def test_gelu_values():
 
 
 def test_softmax_rows_normalize():
-    # the attention softmax: rows sum to 1, and a blocked key gets exactly 0
+    # the attention softmax: rows sum to 1, and a key of another sequence gets
+    # exactly 0; sequences of 2, 2 and 5 positions
     rng = np.random.default_rng(0)
-    key_mask = np.array([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    probs = attention_probs(score_block(rng.standard_normal((9, 9))), key_mask).data[:, :9]
+    blocks = [(slice(0, 4), 2), (slice(4, 9), 5)]
+    probs = attention_probs(score_block(rng.standard_normal((9, 9))), blocks).data[:, :9]
     np.testing.assert_allclose(probs.sum(axis=-1), np.ones(9), atol=1e-12)
-    assert (probs >= 0).all() and (probs[:, 2] == 0).all() and (probs[:, 3] > 0).all()
+    own = np.zeros((9, 9), dtype=bool)
+    for seq in (slice(0, 2), slice(2, 4), slice(4, 9)):
+        own[seq, seq] = True
+    assert (probs[own] > 0).all() and (probs[~own] == 0).all()
 
 
-def test_self_attention_heads_see_only_their_columns_and_unpadded_keys():
-    # oracle: each head's softmax(q k^T / sqrt(dh) + mask) v, written out per head
+def test_self_attention_heads_see_only_their_columns_and_their_own_sequence():
+    # oracle: each head's softmax(q k^T / sqrt(dh)) v, written out per head
+    # and per sequence; sequences of 5, 5 and 3 positions
     rng = np.random.default_rng(1)
-    B, S, d, H = 2, 5, 6, 3
-    x, wq, wk, wv = rand64(rng, B * S, d), rand64(rng, d, d), rand64(rng, d, d), rand64(rng, d, d)
+    d, H = 6, 3
+    x, wq, wk, wv = rand64(rng, 13, d), rand64(rng, d, d), rand64(rng, d, d), rand64(rng, d, d)
     bq, bk, bv = rand64(rng, d), rand64(rng, d), rand64(rng, d)
-    key_mask = np.zeros((B, S))
-    key_mask[1, 3:] = -np.inf
-    out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, key_mask, heads=H).data
+    blocks = [(slice(0, 10), 5), (slice(10, 13), 3)]
+    out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, blocks, heads=H).data
     q, k, v = (x.data @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     dh = d // H
-    for b in range(B):
-        rows = slice(b * S, (b + 1) * S)
+    for rows in (slice(0, 5), slice(5, 10), slice(10, 13)):
         for h in range(H):
             cols = slice(h * dh, (h + 1) * dh)
-            p = softmax(q[rows, cols] @ k[rows, cols].T / math.sqrt(dh) + key_mask[b], axis=-1)
+            p = softmax(q[rows, cols] @ k[rows, cols].T / math.sqrt(dh), axis=-1)
             np.testing.assert_allclose(out[rows, cols], p @ v[rows, cols], rtol=1e-12, atol=1e-12)
-    with pytest.raises(ValueError):
-        ad.self_attention(x, wq, bq, wk, bk, wv, bv, np.zeros((B, S + 1)), heads=H)
+    for bad in ([(slice(0, 10), 5)], [(slice(0, 10), 5), (slice(10, 13), 2)],
+                [(slice(0, 10), 5), (slice(9, 13), 4)]):
+        with pytest.raises(ValueError, match="do not tile 13 rows"):
+            ad.self_attention(x, wq, bq, wk, bk, wv, bv, bad, heads=H)
 
 
 def test_splade_pool_passes_a_nan_logit_through():
     # a NaN weight must reach the output, where encode_corpus refuses it, not pool to 0
     h = t64([[-2.0, 0.0, 1.0], [-3.0, -1.0, 3.0]])
     bias = t64([0.5, np.nan, 0.0])
-    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.array([[True, True]])).data
+    out = ad.splade_pool(h, t64(np.eye(3)), bias, np.ones(2, dtype=bool), [(slice(0, 2), 2)], [0]).data
     assert np.isnan(out[0, 1]) and out[0, 0] == 0.0 and out[0, 2] == math.log(4.0)
 
 
@@ -167,7 +181,7 @@ def test_splade_pool_first_max_wins_on_tie():
     h = t64([[1.0], [1.0], [0.5]])
     with GradTape() as tape:
         out = ad.splade_pool(h, t64([[1.0]], req=False), t64([0.0], req=False),
-                             np.ones((1, 3), dtype=bool))
+                             np.ones(3, dtype=bool), [(slice(0, 3), 3)], [0])
         tape.backward(out)  # one element: backward seeds its gradient with 1
     np.testing.assert_array_equal(h.grad, [[0.5], [0.0], [0.0]])
 
@@ -176,11 +190,11 @@ def test_splade_pool_records_only_under_a_tape():
     # outside a tape, or with no input requiring grad, nothing is recorded
     rng = np.random.default_rng(26)
     h, emb, bias = rand64(rng, 6, 3), rand64(rng, 5, 3), rand64(rng, 5)
-    content = np.ones((2, 3), dtype=bool)
-    assert not ad.splade_pool(h, emb, bias, content).requires_grad
+    layout = np.ones(6, dtype=bool), [(slice(0, 6), 3)], [0, 1]
+    assert not ad.splade_pool(h, emb, bias, *layout).requires_grad
     frozen = [Tensor(x.data) for x in (h, emb, bias)]
     with GradTape() as tape:
-        out = ad.splade_pool(*frozen, content)
+        out = ad.splade_pool(*frozen, *layout)
         assert len(tape) == 0 and not out.requires_grad
 
 
@@ -238,8 +252,7 @@ def test_dtype_preserved():
         x = Tensor(np.ones((2, 4), dtype=dtype), requires_grad=True)
         eye, zero = Tensor(np.eye(4, dtype=dtype)), Tensor(np.zeros(4, dtype=dtype))
         with GradTape() as tape:
-            h = ad.self_attention(x, eye, zero, eye, zero, eye, zero,
-                                  np.zeros((1, 2), dtype=dtype), heads=2)
+            h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, [(slice(0, 2), 2)], heads=2)
             out = ad.softmax_cross_entropy(ad.feed_forward(ad.linear(h, eye, zero), eye, zero, eye, zero),
                                            np.array([0, 3]))
             assert out.dtype == dtype
@@ -269,15 +282,15 @@ def test_grad_linear():
 
 
 def test_grad_self_attention():
-    # two sequences of four, two heads; the second sequence's last key is padding
+    # two heads; sequences of 2, 2, 3 and 4 positions: three lengths, two
+    # sequences of one length
     rng = np.random.default_rng(27)
-    x = rand64(rng, 8, 6)
+    x = rand64(rng, 11, 6)
     params = [rand64(rng, *shape) for shape in ((6, 6), (6,)) * 3]
-    key_mask = np.zeros((2, 4))
-    key_mask[1, 3] = -np.inf
-    t = rng.integers(0, 6, size=8)
+    blocks = [(slice(0, 4), 2), (slice(4, 7), 3), (slice(7, 11), 4)]
+    t = rng.integers(0, 6, size=11)
     assert_grads_match(
-        lambda: ad.softmax_cross_entropy(ad.self_attention(x, *params, key_mask, heads=2), t),
+        lambda: ad.softmax_cross_entropy(ad.self_attention(x, *params, blocks, heads=2), t),
         [x, *params])
 
 
@@ -319,25 +332,28 @@ def test_grad_gather_rows_repeated_ids():
 
 
 def test_grad_amax():
-    # the max-pool inside ad.splade_pool, over a masked sequence axis
+    # the max-pool inside ad.splade_pool, over the content rows of each
+    # sequence; sequences of 3, 3, 4 and 6 positions, output in another order
     rng = np.random.default_rng(19)
-    h, emb, bias = rand64(rng, 3 * 6, 4), rand64(rng, 5, 4), rand64(rng, 5)  # random: no ties
-    content = rng.random((3, 6)) < 0.7
-    content[:, 0] = True
-    out = ad.splade_pool(h, emb, bias, content).data
+    h, emb, bias = rand64(rng, 16, 4), rand64(rng, 5, 4), rand64(rng, 5)  # random: no ties
+    content = rng.random(16) < 0.7
+    content[[0, 3, 6, 10]] = True
+    layout = content, [(slice(0, 6), 3), (slice(6, 10), 4), (slice(10, 16), 6)], [2, 0, 3, 1]
+    out = ad.splade_pool(h, emb, bias, *layout).data
     assert (out == 0).any() and (out > 0).any()  # both sides of the relu
-    t = rng.integers(0, 5, size=3)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.splade_pool(h, emb, bias, content), t),
+    t = rng.integers(0, 5, size=4)
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.splade_pool(h, emb, bias, *layout), t),
                        [h, emb, bias])
 
 
 def test_grad_softmax():
-    # the attention softmax, differentiated through its scores (with a blocked key)
+    # the attention softmax, differentiated through its scores; sequences of
+    # 1, 2, 2 and 3 positions, so the scores across sequences get no gradient
     rng = np.random.default_rng(21)
-    scores = score_block(rng.standard_normal((7, 7)))
-    key_mask = np.array([0.0, 0.0, 0.0, -np.inf, 0.0, 0.0, 0.0])
-    t = rng.integers(0, 16, size=7)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(attention_probs(scores, key_mask), t),
+    scores = score_block(rng.standard_normal((8, 8)))
+    blocks = [(slice(0, 1), 1), (slice(1, 5), 2), (slice(5, 8), 3)]
+    t = rng.integers(0, 16, size=8)
+    assert_grads_match(lambda: ad.softmax_cross_entropy(attention_probs(scores, blocks), t),
                        [scores])
 
 
@@ -366,9 +382,9 @@ def test_grad_log1p_relu():
     vals[np.abs(vals) < 0.1] += 0.2  # keep clear of the kink at 0
     x, bias = t64(vals), t64(np.zeros(6))
     assert (vals < 0).any() and (vals > 0).any()
-    eye, content = t64(np.eye(6), req=False), np.ones((4, 1), dtype=bool)
+    eye, layout = t64(np.eye(6), req=False), (np.ones(4, dtype=bool), [(slice(0, 4), 1)], range(4))
     t = rng.integers(0, 6, size=4)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.splade_pool(x, eye, bias, content), t),
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.splade_pool(x, eye, bias, *layout), t),
                        [x, bias])
 
 
@@ -395,11 +411,12 @@ finite_arrays = st.integers(min_value=1, max_value=4).flatmap(
 @given(finite_arrays)
 @settings(max_examples=50, deadline=None)
 def test_softmax_is_distribution(arr):
-    # arr's n rows score its m keys; keys past m are blocked with -inf
+    # positions 0..n-1 are one sequence, whose scores are arr (0 past column
+    # m), and the rest up to 5 another, whose keys must get exactly 0
     n, m = arr.shape
-    key_mask = np.where(np.arange(5) < m, 0.0, -np.inf)
-    probs = attention_probs(score_block(arr), key_mask).data[:n, :5]
-    assert np.isfinite(probs).all() and (probs[:, m:] == 0).all()
+    blocks = [(slice(0, n), n)] + [(slice(n, 5), 5 - n)] * (n < 5)
+    probs = attention_probs(score_block(arr), blocks).data[:n, :5]
+    assert np.isfinite(probs).all() and (probs[:, n:] == 0).all()
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
 
@@ -410,9 +427,9 @@ def test_finite_inputs_give_finite_grads(arr):
     n, m = arr.shape
     eye, zero = Tensor(np.eye(m)), Tensor(np.zeros(m))
     with GradTape() as tape:
-        h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, np.zeros((1, n)), heads=1)
+        h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, [(slice(0, n), n)], heads=1)
         pooled = ad.splade_pool(ad.feed_forward(h, eye, zero, eye, zero), eye, zero,
-                                np.ones((1, n), dtype=bool))
+                                np.ones(n, dtype=bool), [(slice(0, n), n)], [0])
         loss = ad.softmax_cross_entropy(pooled, np.array([0]))
         tape.backward(loss)
     assert np.isfinite(loss.data).all()

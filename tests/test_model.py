@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from spladapt import autodiff as ad
@@ -14,7 +16,7 @@ from spladapt.model import (
     LN_EPS, encode_sparse_batch, init_weights, mlm_logits, parameter_shapes,
 )
 from spladapt.training import build_mlm_batch
-from spladapt.vocab import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID
+from spladapt.vocab import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, UNK_ID
 
 TINY = ModelConfig(vocab_size=30, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
                    max_seq_len=12, k_domain_layers=1)
@@ -68,17 +70,21 @@ def test_weights_validated_against_config():
 def test_forward_shapes_and_validation():
     w = init_weights(TINY, seed=3)
     ids = np.array([CLS_ID, 7, 9, SEP_ID])
-    out = mlm_logits(w, ids[None, :], np.arange(4))
+    out = mlm_logits(w, [ids], np.arange(4))
     assert out.shape == (4, TINY.vocab_size)
-    assert mlm_logits(w, ids[None, :], np.array([2, 1])).shape == (2, TINY.vocab_size)
-    with pytest.raises(ValueError):
-        mlm_logits(w, np.array([[CLS_ID, 30, SEP_ID]]), np.arange(3))  # id == vocab_size
-    with pytest.raises(ValueError):
-        mlm_logits(w, (np.arange(13) % 5)[None, :], np.arange(13))  # longer than max_seq_len
-    with pytest.raises(ValueError):
-        mlm_logits(w, ids, np.arange(4))  # wants 2-D
-    with pytest.raises(IndexError):
-        mlm_logits(w, ids[None, :], np.array([4]))  # row past B*S
+    assert mlm_logits(w, [ids], np.array([2, 1])).shape == (2, TINY.vocab_size)
+    assert mlm_logits(w, [ids, ids[:3]], np.arange(7)).shape == (7, TINY.vocab_size)
+    for seqs, match in (([], "empty batch"),
+                        ([ids, np.array([[CLS_ID, 7, SEP_ID]])], r"sequence 1: ids of shape \(1, 3\)"),
+                        ([ids, 1 + np.arange(13) % 5], r"sequence 1: ids of shape \(13,\) .* max_seq_len 12"),
+                        ([np.array([PAD_ID, PAD_ID]), ids], r"sequence 0: ids of shape \(0,\)"),
+                        ([ids, np.array([CLS_ID, 30, SEP_ID])], r"sequence 1: token id out of range \[0, 30"),
+                        ([np.array([CLS_ID, -1, SEP_ID])], "sequence 0: token id out of range")):
+        with pytest.raises(ValueError, match=match):
+            mlm_logits(w, seqs, np.arange(2))
+    for rows in ([4], [-1]):
+        with pytest.raises(IndexError):
+            mlm_logits(w, [ids], np.array(rows))  # rows index the 4 tokens
 
 
 def test_forward_deterministic():
@@ -119,19 +125,47 @@ def test_sparse_pooling_matches_bruteforce_reference():
     assert all(v > 0 for _, v in rep.items())
 
 
-def test_batch_padding_matches_single_sequences():
-    # [PAD] must not leak into attention or pooling
-    w = init_weights(TINY, seed=7)
-    a = np.array([CLS_ID, 9, 17, 23, 5, SEP_ID])
-    b = np.array([CLS_ID, 6, SEP_ID])
-    batch = np.full((2, len(a)), PAD_ID, dtype=np.int64)
-    batch[0, : len(a)] = a
-    batch[1, : len(b)] = b
-    reps = encode_sparse_batch(w, batch).data
-    single_a = encode_sparse_batch(w, a[None, :]).data[0]
-    single_b = encode_sparse_batch(w, b[None, :]).data[0]
-    np.testing.assert_allclose(reps[0], single_a, atol=1e-5)
-    np.testing.assert_allclose(reps[1], single_b, atol=1e-5)
+# a config whose sequences run past 8 keys, where numpy's pairwise sums
+# would regroup a padded softmax row; every tensor random
+WIDE = ModelConfig(vocab_size=40, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
+                   max_seq_len=32, k_domain_layers=1)
+
+
+def random_weights(config: ModelConfig, seed: int) -> EncoderWeights:
+    """Weights with every tensor drawn at random, so biases and gains count."""
+    w = init_weights(config, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in w.names():
+        w[name].data[:] = rng.normal(0, 0.3, w[name].shape)
+    return w
+
+
+WIDE_WEIGHTS = random_weights(WIDE, seed=14)
+
+# [CLS] ids [SEP], the ids drawn from [UNK] up, at least one of them content
+sequences = st.lists(st.integers(UNK_ID, WIDE.vocab_size - 1), min_size=1, max_size=WIDE.max_seq_len - 2) \
+    .filter(lambda ids: max(ids) >= N_SPECIALS).map(lambda ids: np.array([CLS_ID, *ids, SEP_ID]))
+
+
+@given(st.lists(sequences, min_size=1, max_size=12))
+@example([np.array([CLS_ID, 9, 17, 23, 5, SEP_ID]), np.array([CLS_ID, 6, SEP_ID])])
+@settings(max_examples=40, deadline=None)
+def test_every_sequence_encodes_as_it_does_alone(seqs):
+    # a text's representation and MLM logits are bitwise those of the text
+    # encoded alone, in any batch, in any order, and from a PAD-padded matrix
+    w = WIDE_WEIGHTS
+    padded = np.full((len(seqs), max(map(len, seqs))), PAD_ID, dtype=np.int64)
+    for row, seq in zip(padded, seqs):
+        row[: len(seq)] = seq
+    alone = [(encode_sparse_batch(w, [seq]).data[0], mlm_logits(w, [seq], np.arange(len(seq))).data)
+             for seq in seqs]
+    starts = np.cumsum([0] + [len(seq) for seq in seqs])
+    for batch in (seqs, padded):
+        reps = encode_sparse_batch(w, batch).data
+        logits = mlm_logits(w, batch, np.arange(starts[-1])).data
+        for i, (rep, seq_logits) in enumerate(alone):
+            assert reps[i].tobytes() == rep.tobytes(), i
+            assert logits[starts[i]: starts[i + 1]].tobytes() == seq_logits.tobytes(), i
 
 
 def test_encode_sparse_requires_content():
@@ -183,11 +217,11 @@ def test_score_inner_product():
 
 def _oracle_reps(w: EncoderWeights, ids: np.ndarray) -> np.ndarray:
     """Tied-head logits, non-content positions masked, max over positions,
-    log(1 + relu(.)): the representation built from plain numpy."""
-    B, S = ids.shape
-    logits = mlm_logits(w, ids, np.arange(B * S)).data.reshape(B, S, -1)
+    log(1 + relu(.)): the representation of one sequence built from plain
+    numpy."""
+    logits = mlm_logits(w, [ids], np.arange(len(ids))).data
     logits[ids < N_SPECIALS] = -np.inf
-    pooled = logits.max(axis=1)
+    pooled = logits.max(axis=0)
     return np.log1p(np.where(pooled > 0, pooled, 0))
 
 
@@ -198,7 +232,7 @@ def test_encode_sparse_batch_bitwise_matches_oracle_on_and_off_tape():
     ids[0] = [CLS_ID, 9, 17, 23, 5, 28, SEP_ID]
     ids[1, :4] = [CLS_ID, 6, 6, SEP_ID]
     ids[2, :5] = [CLS_ID, 29, 11, 12, SEP_ID]
-    expected = _oracle_reps(w, ids)
+    expected = np.stack([_oracle_reps(w, row[row != PAD_ID]) for row in ids])
     assert (expected > 0).any() and (expected == 0).any()
     assert encode_sparse_batch(w, ids).data.tobytes() == expected.tobytes()
     with GradTape() as tape:
@@ -209,10 +243,10 @@ def test_encode_sparse_batch_bitwise_matches_oracle_on_and_off_tape():
 
 
 def _oracle_mlm_logits(w: EncoderWeights, ids: np.ndarray) -> np.ndarray:
-    """Every row's tied-head logits, rebuilt from plain numpy in the
-    encoder's own order of operations."""
+    """Every position's tied-head logits for one sequence, rebuilt from
+    plain numpy in the encoder's own order of operations."""
     cfg = w.config
-    B, S = ids.shape
+    B, S = 1, len(ids)
     H, d = cfg.n_heads, cfg.d_model
     dh = d // H
     t = {name: w[name].data for name in w.names()}
@@ -226,12 +260,11 @@ def _oracle_mlm_logits(w: EncoderWeights, ids: np.ndarray) -> np.ndarray:
     def split(x):  # (B*S, d) -> (B, H, S, dh)
         return x.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
 
-    h = t["emb.token"][ids.reshape(-1)] + t["emb.position"][np.tile(np.arange(S), B)]
-    key_mask = np.where(ids == PAD_ID, dt(-np.inf), dt(0.0))[:, None, None, :]
+    h = t["emb.token"][ids] + t["emb.position"][np.arange(S)]
     for i in range(cfg.n_layers):
         p = f"layer.{i}."
         q, k, v = (split(h @ t[p + f"attn.w{c}"] + t[p + f"attn.b{c}"]) for c in "qkv")
-        scores = (q @ k.transpose(0, 1, 3, 2)) * dt(1.0 / np.sqrt(dh)) + key_mask
+        scores = (q @ k.transpose(0, 1, 3, 2)) * dt(1.0 / np.sqrt(dh))
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         ctx = ((e / e.sum(axis=-1, keepdims=True)) @ v).transpose(0, 2, 1, 3).reshape(B * S, d)
         h = layer_norm(h + (ctx @ t[p + "attn.wo"] + t[p + "attn.bo"]),
@@ -244,18 +277,16 @@ def _oracle_mlm_logits(w: EncoderWeights, ids: np.ndarray) -> np.ndarray:
 
 
 def test_encoder_forward_bitwise_matches_numpy_oracle():
-    # every tensor random, so biases, gains and PAD-masked keys all count
-    w = init_weights(TINY, seed=13)
-    rng = np.random.default_rng(13)
-    for name in w.names():
-        w[name].data[:] = rng.normal(0, 0.3, w[name].shape)
+    # every tensor random, so biases and gains count; the batch's rows are
+    # PAD-padded sequences of three lengths, each checked against itself alone
+    w = random_weights(TINY, seed=13)
     ids = np.full((3, 9), PAD_ID, dtype=np.int64)
     ids[0] = [CLS_ID, 9, 17, 23, 5, 28, 6, 11, SEP_ID]
     ids[1, :4] = [CLS_ID, 6, 6, SEP_ID]
     ids[2, :6] = [CLS_ID, 29, 11, 12, 7, SEP_ID]
-    expected = _oracle_mlm_logits(w, ids)
+    expected = np.concatenate([_oracle_mlm_logits(w, row[row != PAD_ID]) for row in ids])
     assert expected.dtype == np.float32 and np.isfinite(expected).all()
-    assert mlm_logits(w, ids, np.arange(ids.size)).data.tobytes() == expected.tobytes()
+    assert mlm_logits(w, ids, np.arange(len(expected))).data.tobytes() == expected.tobytes()
 
 
 def test_masked_row_mlm_loss_and_grads_match_full_logits():

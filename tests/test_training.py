@@ -95,12 +95,14 @@ def test_mask_prob_out_of_range():
         mask_tokens(np.array([CLS_ID, 7, SEP_ID]), np.random.default_rng(0), 60, mask_prob=1.5)
 
 
-def test_batch_padding_and_supervision_count():
+def test_batch_labels_and_supervision_count():
+    # no padding: the labels follow the concatenation of the masked sequences
     rng = np.random.default_rng(4)
     seqs = [np.array([CLS_ID, 7, 9, 11, SEP_ID]), np.array([CLS_ID, 8, SEP_ID])]
     batch = build_mlm_batch(seqs, rng, vocab_size=60, mask_prob=1.0)
-    assert batch.input_ids.shape == (2, 5)
-    assert batch.labels[1, 3] == ad.IGNORE_INDEX  # padding is unsupervised
+    assert [len(ids) for ids in batch.input_ids] == [5, 3]
+    ignored = ad.IGNORE_INDEX
+    assert batch.labels.tolist() == [ignored, 7, 9, 11, ignored, ignored, 8, ignored]
     assert batch.n_supervised == 4
 
 
@@ -360,6 +362,16 @@ def test_finetune_rejects_empty_query():
         finetune_ir(base_ckpt(), bad, DOCS, vocab, StageSpec(stage="finetune_source", steps=1))
 
 
+def test_finetune_rejects_a_doc_without_content_before_any_step():
+    # a doc whose terms are all out of vocabulary would fail the first step
+    # that draws it; it is refused up front, by id, even with no steps to run
+    vocab = make_vocab()
+    docs = {**DOCS, "oov": "zz yy"}
+    triples = [TrainTriple("w1 w2", "d0", "d1"), TrainTriple("w3 w4", "d2", "oov")]
+    with pytest.raises(ValueError, match=r"docs with no content tokens: \['oov'\]"):
+        finetune_ir(base_ckpt(), triples, docs, vocab, StageSpec(stage="finetune_source", steps=0))
+
+
 def test_finetune_loss_and_log(tmp_path):
     vocab = make_vocab()
     log_path = tmp_path / "ft.jsonl"
@@ -440,12 +452,11 @@ def test_fused_ops_with_frozen_weights_still_pass_the_input_gradient():
     def param(*shape):
         return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
 
-    key_mask = np.zeros((2, 3), dtype=np.float32)
-    key_mask[1, 2] = -np.inf
+    blocks = [(slice(0, 1), 1), (slice(1, 3), 2), (slice(3, 6), 3)]
     x = param(6, 8)
     ops = {
         "linear": (ad.linear, [param(8, 5), param(5)]),
-        "self_attention": (lambda *a: ad.self_attention(*a, key_mask, heads=2),
+        "self_attention": (lambda *a: ad.self_attention(*a, blocks, heads=2),
                            [param(*shape) for shape in ((8, 8), (8,)) * 3]),
         "feed_forward": (ad.feed_forward, [param(8, 16), param(16), param(16, 8), param(8)]),
     }
