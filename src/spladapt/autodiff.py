@@ -8,11 +8,13 @@ calls outside any active tape record nothing, so pure inference is
 reentrant. Training runs in float32; pass float64 arrays for
 gradient-check work (ops keep the input dtype).
 
-The encoder's layers run on three fused ops with hand-written backward
-passes: linear (x @ w + b), self_attention (Q/K/V projections, heads as
-numpy views, scaled softmax, head merge) and feed_forward (linear, exact
-GELU, linear). Each computes the gradient only of an input that requires
-grad, so a frozen op still passes the gradient back to its input.
+Each part of the encoder is one op with a hand-written backward pass:
+embed (token plus position embeddings), self_attention (Q/K/V projections,
+heads as numpy views, scaled softmax, head merge, output projection),
+add_layer_norm (the residual sum and its layer norm), feed_forward (linear,
+exact GELU, linear) and mlm_head (the tied MLM projection of chosen rows).
+Each computes the gradient only of an input that requires grad, so a frozen
+op still passes the gradient back to its input.
 
 The rows of self_attention and splade_pool are packed sequences with no
 padding, tiled by blocks of (rows, S) pairs, each rows slice holding whole
@@ -25,9 +27,7 @@ gradient as a sparse matrix with one entry per (sequence, term).
 
 ranking_loss fuses the fine-tune loss: in-batch softmax cross entropy over
 the (3B, V) query/positive/negative batch plus its two FLOPS terms, with one
-(3B, V) gradient buffer. softmax_cross_entropy is the MLM loss. The other
-ops (add, gather_rows, transpose2d, layer_norm) serve the embedding sum,
-the residual connections and the tied head.
+(3B, V) gradient buffer. softmax_cross_entropy is the MLM loss.
 """
 
 from __future__ import annotations
@@ -42,17 +42,14 @@ from scipy.special import erf
 __all__ = [
     "Tensor",
     "GradTape",
-    "linear",
+    "embed",
     "self_attention",
+    "add_layer_norm",
     "feed_forward",
-    "transpose2d",
-    "add",
-    "gather_rows",
-    "layer_norm",
+    "mlm_head",
     "splade_pool",
     "softmax_cross_entropy",
     "ranking_loss",
-    "numeric_gradient",
     "IGNORE_INDEX",
 ]
 
@@ -160,25 +157,7 @@ def _accum(t: Tensor, g: np.ndarray, own: bool = True) -> None:
         np.add(t.grad, g, out=t.grad)
 
 
-# ---------------------------------------------------------------- linear algebra
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x (n, k) @ w (k, m) + b (m,) -> (n, m), the bias added in place."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    out = Tensor(_affine(x.data, w.data, b.data))
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        _linear_grads(x.data, g, w, b)
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-
-    _record((x, w, b), out, backward)
-    return out
+# ---------------------------------------------------------------- helpers
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,109 +174,44 @@ def _linear_grads(x: np.ndarray, g: np.ndarray, w: Tensor, b: Tensor) -> None:
         _accum(b, g.sum(axis=0))
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    """x (m, n) -> (n, m)."""
-    if x.ndim != 2:
-        raise ValueError(f"transpose2d expects a 2-D tensor, got {x.shape}")
-    out = Tensor(x.data.T.copy())
-
-    def backward():
-        if out.grad is not None:
-            _accum(x, out.grad.T)
-
-    _record((x,), out, backward)
-    return out
+def _scatter_rows(like: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of the row lookup like[ids], given its output gradient g:
+    zeros, with each row of g added at its id; repeated ids accumulate."""
+    gx = np.zeros_like(like)
+    np.add.at(gx, ids, g)
+    return gx
 
 
-# ---------------------------------------------------------------- sum and lookup
+# ---------------------------------------------------------------- fused encoder ops
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    if a.shape != b.shape:
-        raise ValueError(f"add expects equal shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data)
+def embed(tok: Tensor, pos: Tensor, ids: np.ndarray, positions: np.ndarray) -> Tensor:
+    """tok[ids] + pos[positions]: token plus position embeddings, (n, d) for
+    ids and positions int (n,). The caller checks the ids."""
+    out = Tensor(tok.data[ids] + pos.data[positions])
 
     def backward():
         g = out.grad
         if g is None:
             return
-        _accum(a, g, own=False)
-        _accum(b, g, own=False)
+        if pos.requires_grad:
+            _accum(pos, _scatter_rows(pos.data, positions, g))
+        if tok.requires_grad:
+            _accum(tok, _scatter_rows(tok.data, ids, g))
 
-    _record((a, b), out, backward)
+    _record((tok, pos), out, backward)
     return out
 
 
-def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: x (V, d), ids int (n,) -> (n, d). Repeated ids accumulate grads."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValueError(f"gather_rows expects 1-D indices, got shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= x.data.shape[0]):
-        raise IndexError(f"gather_rows index out of range for {x.data.shape[0]} rows")
-    out = Tensor(x.data[ids])
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, ids, g)
-        _accum(x, gx)
-
-    _record((x,), out, backward)
-    return out
-
-
-# ---------------------------------------------------------------- nonlinearities
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift.
-
-    x (..., d), gain (d,), bias (d,). Variance is the biased estimate (divide by d).
-    """
-    d = x.data.shape[-1]
-    if d == 0:
-        raise ValueError("layer_norm over a zero-length axis")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data)
-
-    def backward():
-        g = out.grad
-        if g is None:
-            return
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, inv_std * (gx_hat - m1 - xhat * m2))
-
-    _record((x, gain, bias), out, backward)
-    return out
-
-
-# ---------------------------------------------------------------- fused encoder layer ops
-
-
-def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
-                   wv: Tensor, bv: Tensor, blocks: Sequence[tuple[slice, int]], heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention, before the output projection.
+def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
+                   wo: Tensor, bo: Tensor, blocks: Sequence[tuple[slice, int]], heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention with its output projection.
 
     x (n, d) holds packed sequences, tiled by blocks (_n_seqs); a position
     attends only within its own sequence. Each of the H = heads heads
     attends with d/H of the columns of
     q = x @ wq + bq, k = x @ wk + bk and v = x @ wv + bv; the heads'
-    contexts are merged back to (n, d).
+    contexts are merged back to (n, d), then projected: ctx @ wo + bo.
     """
     n, d = x.shape
     _n_seqs(n, blocks)
@@ -310,7 +224,7 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         return t.reshape(-1, S, heads, dh).transpose(0, 2, 1, 3)
 
     q, k, v = (_affine(x.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    out = Tensor(np.empty_like(q))
+    ctx = np.empty_like(q)
     probs = []  # per block (c, H, S, S): scores, then probabilities
     for rows, S in blocks:
         p = split(q[rows], S) @ split(k[rows], S).transpose(0, 1, 3, 2)
@@ -318,13 +232,18 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         p -= p.max(axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, split(v[rows], S), out=split(out.data[rows], S))
+        np.matmul(p, split(v[rows], S), out=split(ctx[rows], S))
         probs.append(p)
+    out = Tensor(_affine(ctx, wo.data, bo.data))
 
     def backward():
         g = out.grad
         if g is None:
             return
+        _linear_grads(ctx, g, wo, bo)
+        if not any(t.requires_grad for t in (x, wq, bq, wk, bk, wv, bv)):
+            return
+        g = g @ wo.data.T  # d ctx
         dqkv = np.empty((n, 3, heads, dh), dtype=g.dtype)  # rows of [dq | dk | dv]
         for (rows, S), p in zip(blocks, probs):
             q4, k4, v4, g4 = (split(t[rows], S) for t in (q, k, v, g))
@@ -342,7 +261,7 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         if x.requires_grad:
             _accum(x, dqkv @ np.concatenate((wq.data, wk.data, wv.data), axis=1).T)
 
-    _record((x, wq, bq, wk, bk, wv, bv), out, backward)
+    _record((x, wq, bq, wk, bk, wv, bv, wo, bo), out, backward)
     return out
 
 
@@ -359,6 +278,48 @@ def _n_seqs(n: int, blocks: Sequence[tuple[slice, int]]) -> int:
         if start == n:
             return count
     raise ValueError(f"blocks {list(blocks)} do not tile {n} rows")
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """The residual sum x + y of two (..., d) tensors, normalized over its
+    last axis to zero mean and unit variance (the biased variance, divided
+    by d), then scaled by gain (d,) and shifted by bias (d,)."""
+    if x.shape != y.shape:
+        raise ValueError(f"add_layer_norm expects equal shapes, got {x.shape} and {y.shape}")
+    d = x.shape[-1]
+    if d == 0:
+        raise ValueError("add_layer_norm over a zero-length axis")
+    xhat = x.data + y.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    buf = xhat * xhat
+    inv_std = buf.mean(axis=-1, keepdims=True)
+    inv_std += x.dtype.type(eps)
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    out = Tensor(np.multiply(xhat, gain.data, out=buf))
+    out.data += bias.data
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.reshape(-1, d).sum(axis=0))
+        if x.requires_grad or y.requires_grad:
+            dx = g * gain.data
+            m1 = dx.mean(axis=-1, keepdims=True)
+            m2 = (dx * xhat).mean(axis=-1, keepdims=True)
+            dx -= m1
+            dx -= xhat * m2
+            dx *= inv_std
+            _accum(x, dx, own=False)  # x may be y, whose sum then takes dx twice
+            _accum(y, dx)
+
+    _record((x, y, gain, bias), out, backward)
+    return out
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -387,6 +348,33 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
 
 # ---------------------------------------------------------------- SPLADE head and loss
+
+
+def mlm_head(h: Tensor, rows: np.ndarray, emb: Tensor, bias: Tensor) -> Tensor:
+    """The tied MLM output projection of the hidden states h (n, d) at rows
+    int (m,): h[rows] @ emb.T + bias -> (m, V), for emb (V, d) and bias (V,).
+    The caller checks the rows."""
+    if h.ndim != 2 or emb.ndim != 2 or emb.shape[1] != h.shape[1] or bias.shape != (emb.shape[0],):
+        raise ValueError(f"mlm_head: hidden {h.shape}, embeddings {emb.shape} and bias {bias.shape} do not fit")
+    hr = h.data[rows]
+    # emb.T is copied: OpenBLAS sums a product with a transposed operand in
+    # another order, and trained checkpoints keep their bytes with this one
+    emb_t = emb.data.T.copy()
+    out = Tensor(_affine(hr, emb_t, bias.data))
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if emb.requires_grad:
+            _accum(emb, (hr.T @ g).T)
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0))
+        if h.requires_grad:
+            _accum(h, _scatter_rows(h.data, rows, g @ emb_t.T))
+
+    _record((h, emb, bias), out, backward)
+    return out
 
 
 def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray,
@@ -543,26 +531,3 @@ def _cross_entropy(z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, Call
         return sm
 
     return np.asarray(nll.sum() / len(targets), dtype=z.dtype), grad
-
-
-# ---------------------------------------------------------------- gradient checking
-
-
-def numeric_gradient(fn: Callable[[], Tensor], param: Tensor, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference d fn() / d param, one forward pair per element.
-
-    fn must rebuild the forward pass from current param values and return a
-    scalar Tensor; run it outside any tape. Use float64 params.
-    """
-    grad = np.zeros_like(param.data)
-    flat = param.data.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(fn().data)
-        flat[i] = orig - eps
-        lo = float(fn().data)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad

@@ -37,7 +37,7 @@ from .experiment import (
 )
 from .index import build_frequency_index, build_impact_index, load_index, save_index
 from .model import ModelConfig, init_weights
-from .params import STAGES, Checkpoint, compose, load_checkpoint, save_checkpoint
+from .params import STAGES, Checkpoint, _read_json, compose, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate
 from .training import MODES, PipelineSpec, finetune_ir, pretrain_mlm
 from .vocab import Vocabulary, build_vocabulary
@@ -72,24 +72,28 @@ def _section(obj: dict, key: str) -> dict:
     return section
 
 
+def _build(cls, path: str | Path | None, section: str, **kwargs):
+    """cls(**kwargs), with a TypeError or ValueError re-raised as a
+    ValueError naming the config file and its section."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: section {section!r}: {exc}") from None
+
+
 def load_config(path: str | Path | None) -> CliConfig:
     """Parse the JSON config; absent sections fall back to toy defaults."""
-    if path is None:
-        obj: dict = {}
-    else:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(obj, dict):
-            raise ValueError("config root must be a JSON object")
+    obj = {} if path is None else _read_json(Path(path))
     _reject_unknown(obj, ("model", "pipeline", "data", "cutoff", "sweep_k"), "config root")
 
     model_obj = _section(obj, "model")
     _reject_unknown(model_obj, (f.name for f in dataclasses.fields(ModelConfig)), "model")
-    model = ModelConfig(**model_obj)
+    model = _build(ModelConfig, path, "model", **model_obj)
 
     pipe_obj = _section(obj, "pipeline")
     pipe_keys = (f.name for f in dataclasses.fields(PipelineSpec) if f.name != "model")
     _reject_unknown(pipe_obj, pipe_keys, "pipeline")
-    spec = PipelineSpec(model=model, **pipe_obj)
+    spec = _build(PipelineSpec, path, "pipeline", model=model, **pipe_obj)
 
     data_obj = _section(obj, "data")
     _reject_unknown(data_obj, ("synth", "source_dir", "target_dir"), "data")
@@ -99,7 +103,7 @@ def load_config(path: str | Path | None) -> CliConfig:
         if not isinstance(synth_obj, dict):
             raise ValueError("config section 'data.synth' must be a JSON object")
         _reject_unknown(synth_obj, (f.name for f in dataclasses.fields(SynthSpec)), "data.synth")
-        synth = SynthSpec(**synth_obj)
+        synth = _build(SynthSpec, path, "data.synth", **synth_obj)
     source_dir = data_obj.get("source_dir")
     target_dir = data_obj.get("target_dir")
     if (source_dir is None) != (target_dir is None):
@@ -219,17 +223,18 @@ def load_stage(workdir: Path, stage: str, hint: str) -> Checkpoint:
 
 
 def ensure_base(workdir: Path, model: ModelConfig, seed: int) -> Checkpoint:
-    """Load the pinned base checkpoint, initializing it on first use."""
+    """The base checkpoint init_weights(model, seed), saved on first use. A
+    saved base that holds other weights or another config is refused."""
     path = _stage_dir(workdir, "base")
-    if (path / "manifest.json").exists():
-        base = load_checkpoint(path)
-        if base.config != model:
-            raise ValueError("existing base checkpoint was built with a different "
-                             "model config; use a fresh workdir")
-        return base
     base = Checkpoint(init_weights(model, seed=seed), stage="base")
-    save_checkpoint(base, path)
-    log.info("initialized base checkpoint (seed %d) -> %s", seed, path)
+    if (path / "manifest.json").exists():
+        saved = load_checkpoint(path)
+        if saved.config != model or saved.checksum() != base.checksum():
+            raise ValueError(f"{path} is not the base of this model config at seed {seed}; "
+                             f"use a fresh workdir, or the seed and config it was built with")
+    else:
+        save_checkpoint(base, path)
+        log.info("initialized base checkpoint (seed %d) -> %s", seed, path)
     return base
 
 

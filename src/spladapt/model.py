@@ -9,9 +9,11 @@ no padding; attention and pooling work within each sequence, and outputs
 come back in the caller's order. So a text encodes to the same bytes alone
 as in any batch.
 
-A layer is three fused autodiff ops plus two residual layer norms:
-ad.self_attention and ad.linear (its output projection), then ad.add of the
-residual and ad.layer_norm; ad.feed_forward, then the same again.
+Each part of the encoder is one autodiff op: ad.embed sums the token and
+position embeddings; a layer is ad.self_attention (with its output
+projection), then ad.add_layer_norm of the residual sum, then
+ad.feed_forward and ad.add_layer_norm again; ad.mlm_head is the tied MLM
+head.
 
 A representation weight for vocabulary term j is
     w_j = log(1 + relu(max_i logit_ij))
@@ -62,11 +64,12 @@ class ModelConfig:
     k_domain_layers: int = 2
 
     def __post_init__(self):
+        for field_name in ("vocab_size", "n_layers", "d_model", "n_heads", "d_ffn", "max_seq_len"):
+            value = getattr(self, field_name)
+            if not isinstance(value, (int, np.integer)) or value <= 0:
+                raise ValueError(f"{field_name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        for field_name in ("vocab_size", "n_layers", "d_model", "n_heads", "d_ffn", "max_seq_len"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
         if self.vocab_size <= N_SPECIALS:
             raise ValueError(f"vocab_size must exceed the {N_SPECIALS} special tokens")
 
@@ -142,12 +145,6 @@ class EncoderWeights:
             {n: Tensor(t.data.copy(), requires_grad=True) for n, t in self.tensors.items()},
         )
 
-    def astype(self, dtype) -> "EncoderWeights":
-        return EncoderWeights(
-            self.config,
-            {n: Tensor(t.data.astype(dtype), requires_grad=True) for n, t in self.tensors.items()},
-        )
-
 
 def init_weights(config: ModelConfig, seed: int, dtype=np.float32) -> EncoderWeights:
     """Projection and embedding matrices ~ N(0, 0.02^2); biases zero; layer
@@ -209,15 +206,15 @@ def _pack(config: ModelConfig, seqs: Sequence[np.ndarray]) -> _Packed:
 def _encoder_hidden(w: EncoderWeights, batch: _Packed) -> Tensor:
     """Packed ids (n,) -> hidden states (n, d)."""
     cfg = w.config
-    h = ad.add(ad.gather_rows(w["emb.token"], batch.ids), ad.gather_rows(w["emb.position"], batch.positions))
+    h = ad.embed(w["emb.token"], w["emb.position"], batch.ids, batch.positions)
     for i in range(cfg.n_layers):
         p = f"layer.{i}."
-        ctx = ad.self_attention(h, w[p + "attn.wq"], w[p + "attn.bq"], w[p + "attn.wk"], w[p + "attn.bk"],
-                                w[p + "attn.wv"], w[p + "attn.bv"], batch.blocks, cfg.n_heads)
-        attn_out = ad.linear(ctx, w[p + "attn.wo"], w[p + "attn.bo"])
-        h = ad.layer_norm(ad.add(h, attn_out), w[p + "ln1.gain"], w[p + "ln1.bias"], eps=LN_EPS)
+        attn = ad.self_attention(h, w[p + "attn.wq"], w[p + "attn.bq"], w[p + "attn.wk"], w[p + "attn.bk"],
+                                 w[p + "attn.wv"], w[p + "attn.bv"], w[p + "attn.wo"], w[p + "attn.bo"],
+                                 batch.blocks, cfg.n_heads)
+        h = ad.add_layer_norm(h, attn, w[p + "ln1.gain"], w[p + "ln1.bias"], LN_EPS)
         ffn = ad.feed_forward(h, w[p + "ffn.w1"], w[p + "ffn.b1"], w[p + "ffn.w2"], w[p + "ffn.b2"])
-        h = ad.layer_norm(ad.add(h, ffn), w[p + "ln2.gain"], w[p + "ln2.bias"], eps=LN_EPS)
+        h = ad.add_layer_norm(h, ffn, w[p + "ln2.gain"], w[p + "ln2.bias"], LN_EPS)
     return h
 
 
@@ -230,8 +227,7 @@ def mlm_logits(w: EncoderWeights, seqs: Sequence[np.ndarray], rows: np.ndarray) 
     if rows.size and (rows.min() < 0 or rows.max() >= len(batch.ids)):
         raise IndexError(f"mlm_logits: row out of range for {len(batch.ids)} tokens")
     packed_rows = np.concatenate([np.arange(span.start, span.stop) for span in batch.spans])
-    h = ad.gather_rows(_encoder_hidden(w, batch), packed_rows[rows])
-    return ad.linear(h, ad.transpose2d(w["emb.token"]), w["mlm.bias"])
+    return ad.mlm_head(_encoder_hidden(w, batch), packed_rows[rows], w["emb.token"], w["mlm.bias"])
 
 
 class SparseVector:

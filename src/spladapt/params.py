@@ -28,10 +28,10 @@ from .model import EncoderWeights, ModelConfig, parameter_shapes
 
 __all__ = [
     "STAGES", "SCHEMA_VERSION", "CorruptionError",
-    "fnv1a64", "tensor_checksums",
+    "fnv1a64",
     "ParameterPartition", "partition_parameters",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
-    "compose", "FreezeReport", "freeze_verify",
+    "compose",
 ]
 
 STAGES = ("base", "pretrain_source", "pretrain_target", "finetune_source", "composed")
@@ -132,10 +132,6 @@ def _tensor_bytes(weights: EncoderWeights) -> dict[str, bytes]:
             raise ValueError(f"checkpoints store float32 tensors; {name} is {data.dtype}")
         out[name] = np.ascontiguousarray(data, dtype="<f4").tobytes()
     return out
-
-
-def tensor_checksums(weights: EncoderWeights) -> dict[str, str]:
-    return {name: fnv1a64(raw) for name, raw in _tensor_bytes(weights).items()}
 
 
 def _read_json(path: Path) -> dict:
@@ -268,35 +264,3 @@ def compose(domain_ckpt: Checkpoint, task_ckpt: Checkpoint) -> Checkpoint:
         stage="composed",
         parents=[domain_ckpt.parent_ref(), task_ckpt.parent_ref()],
     )
-
-
-# ---------------------------------------------------------------- freeze auditing
-
-
-@dataclass
-class FreezeReport:
-    identical: frozenset[str]
-    changed: frozenset[str]
-    violations: frozenset[str]   # expected-frozen tensors that moved
-    trained_moved: bool          # at least one non-frozen tensor changed
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def freeze_verify(before: EncoderWeights, after: EncoderWeights,
-                  expected_frozen: frozenset[str]) -> FreezeReport:
-    """Byte-compare every tensor between two weight sets."""
-    if set(before.tensors) != set(after.tensors):
-        raise ValueError("weight sets name different tensors")
-    unknown = set(expected_frozen) - set(before.tensors)
-    if unknown:
-        raise KeyError(f"expected_frozen names unknown tensors: {sorted(unknown)}")
-    identical, changed = set(), set()
-    for name in before.tensors:
-        same = before[name].data.tobytes() == after[name].data.tobytes()
-        (identical if same else changed).add(name)
-    violations = changed & set(expected_frozen)
-    trained_moved = bool(changed - set(expected_frozen))
-    return FreezeReport(frozenset(identical), frozenset(changed), frozenset(violations), trained_moved)

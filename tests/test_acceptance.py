@@ -26,12 +26,13 @@ from spladapt.index import (RankedList, build_frequency_index, encode_corpus,
 from spladapt.model import (EncoderWeights, ModelConfig, SparseVector,
                             encode_sparse_batch, init_weights, mlm_logits,
                             parameter_shapes)
-from spladapt.params import (Checkpoint, compose, freeze_verify,
-                             partition_parameters, tensor_checksums)
+from spladapt.params import Checkpoint, compose, partition_parameters
 from spladapt.synth import SynthSpec, generate
 from spladapt.training import (MASK_ACTIONS, PipelineSpec, finetune_ir,
                                mask_tokens, pretrain_mlm, run_pipeline)
 from spladapt.vocab import N_SPECIALS, Vocabulary, build_vocabulary
+
+from helpers import freeze_verify, numeric_gradient, tensor_checksums
 
 # Calibrated toy budgets for the cross-domain suite. Pretraining runs at the
 # package default rate (PipelineSpec.lr). At 1e-4 the composed model gains
@@ -194,7 +195,7 @@ def _max_grad_err(make_loss, params) -> float:
     worst = 0.0
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        worst = max(worst, _rel_err(analytic, ad.numeric_gradient(make_loss, p)))
+        worst = max(worst, _rel_err(analytic, numeric_gradient(make_loss, p)))
     return worst
 
 
@@ -218,23 +219,22 @@ def test_every_op_and_the_full_encoder_match_finite_differences(capfd):
     def case(op_name, params, forward):  # a 2-D op, reduced by a fixed-target cross entropy
         cases.append((op_name, params, reduced(forward)))
 
-    li_x, li_w, li_b = t(3, 4), t(4, 2), t(2)
-    case("linear", [li_x, li_w, li_b], lambda: ad.linear(li_x, li_w, li_b))
+    em_tok, em_pos = t(7, 4), t(5, 4)
+    em_ids, em_positions = np.array([0, 3, 3, 6, 1]), np.array([0, 1, 2, 0, 1])  # repeats accumulate
+    case("embed", [em_tok, em_pos], lambda: ad.embed(em_tok, em_pos, em_ids, em_positions))
     sa_x = t(2 * 2 + 3 + 4, 6)
-    sa_w = [t(*shape) for shape in ((6, 6), (6,)) * 3]  # wq, bq, wk, bk, wv, bv
+    sa_w = [t(*shape) for shape in ((6, 6), (6,)) * 4]  # wq, bq, wk, bk, wv, bv, wo, bo
     sa_blocks = [(slice(0, 4), 2), (slice(4, 7), 3), (slice(7, 11), 4)]  # packed lengths 2, 2, 3, 4
     case("self_attention", [sa_x, *sa_w], lambda: ad.self_attention(sa_x, *sa_w, sa_blocks, heads=2))
+    lx, ly, lg, lb = t(4, 6), t(4, 6), t(6), t(6)
+    case("add_layer_norm", [lx, ly, lg, lb], lambda: ad.add_layer_norm(lx, ly, lg, lb, eps=1e-12))
+    case("add_layer_norm", [lx, lg, lb],  # x is y: x's gradient accumulates
+         lambda: ad.add_layer_norm(lx, lx, lg, lb, eps=1e-12))
     fx, fw1, fb1, fw2, fb2 = t(5, 3), t(3, 4), t(4), t(4, 3), t(3)
     case("feed_forward", [fx, fw1, fb1, fw2, fb2], lambda: ad.feed_forward(fx, fw1, fb1, fw2, fb2))
-    tr = t(3, 4)
-    case("transpose2d", [tr], lambda: ad.transpose2d(tr))
-    p, q = t(3, 4), t(3, 4)
-    case("add", [p, q], lambda: ad.add(ad.add(p, q), p))  # p's gradient accumulates
-    ga = t(7, 4)
-    ga_ids = np.array([0, 3, 3, 6, 1])  # repeats exercise gradient accumulation
-    case("gather_rows", [ga], lambda: ad.gather_rows(ga, ga_ids))
-    lx, lg, lb = t(4, 6), t(6), t(6)
-    case("layer_norm", [lx, lg, lb], lambda: ad.layer_norm(lx, lg, lb))
+    mh_h, mh_emb, mh_bias = t(4, 3), t(5, 3), t(5)
+    mh_rows = np.array([2, 0, 2, 1])  # row 3 is skipped and row 2 repeated
+    case("mlm_head", [mh_h, mh_emb, mh_bias], lambda: ad.mlm_head(mh_h, mh_rows, mh_emb, mh_bias))
     sp_h, sp_emb, sp_bias = t(2 * 4 + 5 + 7, 3), t(6, 3), t(6, away_from=0.2)  # random: no ties
     sp_content = rng.random(20) < 0.6
     sp_content[[0, 4, 8, 13]] = True
@@ -247,7 +247,7 @@ def test_every_op_and_the_full_encoder_match_finite_differences(capfd):
     rl = t(3 * 3, 5)  # B = 3 query, positive and negative rows
     cases.append(("ranking_loss", [rl], lambda: ad.ranking_loss(rl, 0.3, 0.7)[0]))
 
-    op_names = set(ad.__all__) - {"Tensor", "GradTape", "numeric_gradient", "IGNORE_INDEX"}
+    op_names = set(ad.__all__) - {"Tensor", "GradTape", "IGNORE_INDEX"}
     assert {name for name, _, _ in cases} == op_names, "an op has no gradient check"
 
     worst_op, worst = "", 0.0
@@ -267,15 +267,20 @@ def test_every_op_and_the_full_encoder_match_finite_differences(capfd):
     labels[::3] = ad.IGNORE_INDEX
     rows = np.flatnonzero(labels != ad.IGNORE_INDEX)  # MLM projects supervised rows only
 
-    def encoder_loss():
-        lm = ad.softmax_cross_entropy(mlm_logits(weights, seqs, rows), labels[rows])
-        return ad.add(lm, ad.ranking_loss(encode_sparse_batch(weights, seqs), 0.1, 0.2)[0])
+    def mlm_loss():
+        return ad.softmax_cross_entropy(mlm_logits(weights, seqs, rows), labels[rows])
 
-    enc_err = _max_grad_err(encoder_loss, list(weights.tensors.values()))
-    assert enc_err < 1e-4, f"full encoder: rel err {enc_err:.2e}"
+    def ranking():
+        return ad.ranking_loss(encode_sparse_batch(weights, seqs), 0.1, 0.2)[0]
+
+    enc_err = 0.0
+    for loss_name, encoder_loss in (("MLM", mlm_loss), ("ranking", ranking)):
+        err = _max_grad_err(encoder_loss, list(weights.tensors.values()))
+        assert err < 1e-4, f"full encoder, {loss_name} loss: rel err {err:.2e}"
+        enc_err = max(enc_err, err)
 
     _finish(capfd, t0, 60.0,
-            f"gradients match finite differences: {len(cases)} ops "
+            f"gradients match finite differences: {len(op_names)} ops in {len(cases)} cases "
             f"(worst {worst_op} {worst:.1e}) + full encoder d=8 L=2 V=20 ({enc_err:.1e})")
 
 

@@ -15,6 +15,8 @@ from scipy.special import softmax
 from spladapt import autodiff as ad
 from spladapt.autodiff import GradTape, Tensor
 
+from helpers import numeric_gradient
+
 
 def t64(data, req=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=req)
@@ -34,12 +36,12 @@ def score_block(scores):
 def attention_probs(wq, blocks):
     """One-head self_attention over the n rows that blocks tile, whose score
     matrix is wq[:n, :n] and whose output's first n columns are the attention
-    probabilities: x = [I | 0], wk = 4 I and wv = I at width 16, where the
-    scale 1/4 undoes the factor 4 exactly."""
+    probabilities: x = [I | 0], wk = 4 I and wv = wo = I at width 16, where
+    the scale 1/4 undoes the factor 4 exactly."""
     n, eye = blocks[-1][0].stop, np.eye(16)
-    zero = t64(np.zeros(16), req=False)
+    zero, ident = t64(np.zeros(16), req=False), t64(eye, req=False)
     return ad.self_attention(t64(eye[:n], req=False), wq, zero, t64(4 * eye, req=False), zero,
-                             t64(eye, req=False), zero, blocks, heads=1)
+                             ident, zero, ident, zero, blocks, heads=1)
 
 
 def assert_grads_match(make_loss, params, eps=1e-5, rtol=1e-4, atol=1e-8):
@@ -51,7 +53,7 @@ def assert_grads_match(make_loss, params, eps=1e-5, rtol=1e-4, atol=1e-8):
         tape.backward(loss)
     for p in params:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = ad.numeric_gradient(make_loss, p, eps=eps)
+        numeric = numeric_gradient(make_loss, p, eps=eps)
         np.testing.assert_allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
@@ -59,15 +61,17 @@ def assert_grads_match(make_loss, params, eps=1e-5, rtol=1e-4, atol=1e-8):
 
 
 def test_layer_norm_two_points():
-    # mean 2, variance 1 (biased): (1,3) -> (-1, 1)
-    x = t64([[1.0, 3.0]])
-    out = ad.layer_norm(x, t64([1.0, 1.0]), t64([0.0, 0.0]), eps=1e-15)
+    # the residual sum (0.5, 1.5) + (0.5, 1.5) = (1, 3) has mean 2 and
+    # variance 1 (biased): -> (-1, 1)
+    x = t64([[0.5, 1.5]])
+    out = ad.add_layer_norm(x, x, t64([1.0, 1.0]), t64([0.0, 0.0]), eps=1e-15)
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-7)
 
 
 def test_layer_norm_zero_width_rejected():
-    with pytest.raises(ValueError):
-        ad.layer_norm(t64(np.zeros((2, 0))), t64(np.zeros(0)), t64(np.zeros(0)))
+    with pytest.raises(ValueError, match="zero-length"):
+        ad.add_layer_norm(t64(np.zeros((2, 0))), t64(np.zeros((2, 0))), t64(np.zeros(0)),
+                          t64(np.zeros(0)), eps=1e-12)
 
 
 def test_cross_entropy_two_class():
@@ -153,8 +157,9 @@ def test_self_attention_heads_see_only_their_columns_and_their_own_sequence():
     d, H = 6, 3
     x, wq, wk, wv = rand64(rng, 13, d), rand64(rng, d, d), rand64(rng, d, d), rand64(rng, d, d)
     bq, bk, bv = rand64(rng, d), rand64(rng, d), rand64(rng, d)
+    wo, bo = t64(np.eye(d)), t64(np.zeros(d))  # the projection leaves the merged heads as they are
     blocks = [(slice(0, 10), 5), (slice(10, 13), 3)]
-    out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, blocks, heads=H).data
+    out = ad.self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, blocks, heads=H).data
     q, k, v = (x.data @ w.data + b.data for w, b in ((wq, bq), (wk, bk), (wv, bv)))
     dh = d // H
     for rows in (slice(0, 5), slice(5, 10), slice(10, 13)):
@@ -165,7 +170,7 @@ def test_self_attention_heads_see_only_their_columns_and_their_own_sequence():
     for bad in ([(slice(0, 10), 5)], [(slice(0, 10), 5), (slice(10, 13), 2)],
                 [(slice(0, 10), 5), (slice(9, 13), 4)]):
         with pytest.raises(ValueError, match="do not tile 13 rows"):
-            ad.self_attention(x, wq, bq, wk, bk, wv, bv, bad, heads=H)
+            ad.self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, bad, heads=H)
 
 
 def test_splade_pool_passes_a_nan_logit_through():
@@ -198,9 +203,15 @@ def test_splade_pool_records_only_under_a_tape():
         assert len(tape) == 0 and not out.requires_grad
 
 
-def test_gather_rows_out_of_range():
-    with pytest.raises(IndexError):
-        ad.gather_rows(t64(np.zeros((3, 2))), np.array([3]))
+def test_mlm_head_refuses_mismatched_shapes():
+    # the rows are the caller's to check (mlm_logits); the shapes are the op's
+    h, rows = t64(np.zeros((3, 2))), np.array([0, 2])
+    for emb, bias in ((t64(np.zeros((5, 3))), t64(np.zeros(5))),
+                      (t64(np.zeros((5, 2))), t64(np.zeros(4))),
+                      (t64(np.zeros(10)), t64(np.zeros(5)))):
+        with pytest.raises(ValueError, match="do not fit"):
+            ad.mlm_head(h, rows, emb, bias)
+    assert ad.mlm_head(h, rows, t64(np.zeros((5, 2))), t64(np.zeros(5))).shape == (2, 5)
 
 
 # ---------------------------------------------------------------- tape mechanics
@@ -212,16 +223,16 @@ def test_backward_empty_tape_rejected():
     with pytest.raises(RuntimeError):
         tape.backward(t64(0.0))
     # ops built outside any tape record nothing
-    out = ad.add(t64([1.0, 2.0]), t64([3.0, 4.0]))
+    out = ad.embed(t64([[1.0, 2.0]]), t64([[3.0, 4.0]]), np.array([0]), np.array([0]))
     assert not out.requires_grad
     with GradTape() as tape:
         assert len(tape) == 0
 
 
 def test_backward_non_scalar_rejected():
-    x = t64([1.0, 2.0])
+    x = t64([[1.0, 2.0]])
     with GradTape() as tape:
-        out = ad.add(x, x)
+        out = ad.embed(x, x, np.array([0]), np.array([0]))
         with pytest.raises(ValueError):
             tape.backward(out)
 
@@ -239,10 +250,11 @@ def test_tape_cleared_after_backward():
 
 
 def test_grad_accumulates_on_reuse():
-    # softmax([0, 2 ln 3]) = [1/10, 9/10]; both operands of the add are x
+    # softmax([0, 2 ln 3]) = [1/10, 9/10]; x is both the token and the
+    # position table of the embedding sum
     x = t64([[0.0, math.log(3.0)]])
     with GradTape() as tape:
-        loss = ad.softmax_cross_entropy(ad.add(x, x), np.array([1]))
+        loss = ad.softmax_cross_entropy(ad.embed(x, x, np.array([0]), np.array([0])), np.array([1]))
         tape.backward(loss)
     np.testing.assert_allclose(x.grad, [[0.2, -0.2]], atol=1e-15)
 
@@ -250,11 +262,11 @@ def test_grad_accumulates_on_reuse():
 def test_dtype_preserved():
     for dtype in (np.float32, np.float64):
         x = Tensor(np.ones((2, 4), dtype=dtype), requires_grad=True)
-        eye, zero = Tensor(np.eye(4, dtype=dtype)), Tensor(np.zeros(4, dtype=dtype))
+        eye, zero, one = (Tensor(f(4, dtype=dtype)) for f in (np.eye, np.zeros, np.ones))
         with GradTape() as tape:
-            h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, [(slice(0, 2), 2)], heads=2)
-            out = ad.softmax_cross_entropy(ad.feed_forward(ad.linear(h, eye, zero), eye, zero, eye, zero),
-                                           np.array([0, 3]))
+            h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, eye, zero, [(slice(0, 2), 2)], heads=2)
+            h = ad.add_layer_norm(x, h, one, zero, eps=1e-12)
+            out = ad.softmax_cross_entropy(ad.feed_forward(h, eye, zero, eye, zero), np.array([0, 3]))
             assert out.dtype == dtype
             tape.backward(out)
         assert x.grad.dtype == dtype
@@ -263,10 +275,10 @@ def test_dtype_preserved():
 def test_grads_flow_through_non_leaf_chain():
     # freezing is an optimizer concern; backward always propagates
     rng = np.random.default_rng(1)
-    w_frozen, b = rand64(rng, 4, 4), rand64(rng, 4)
+    w_frozen, b, w2, b2 = rand64(rng, 4, 4), rand64(rng, 4), rand64(rng, 4, 4), rand64(rng, 4)
     x = rand64(rng, 2, 4)
     with GradTape() as tape:
-        loss = ad.softmax_cross_entropy(ad.linear(x, w_frozen, b), np.array([0, 3]))
+        loss = ad.softmax_cross_entropy(ad.feed_forward(x, w_frozen, b, w2, b2), np.array([0, 3]))
         tape.backward(loss)
     assert x.grad is not None and w_frozen.grad is not None
 
@@ -274,11 +286,14 @@ def test_grads_flow_through_non_leaf_chain():
 # ---------------------------------------------------------------- gradient checks
 
 
-def test_grad_linear():
+def test_grad_mlm_head():
+    # the tied head at rows that skip and repeat hidden rows: row 3 gets no
+    # gradient, rows 0 and 2 accumulate two each
     rng = np.random.default_rng(11)
-    x, w, b = rand64(rng, 3, 4), rand64(rng, 4, 5), rand64(rng, 5)
-    t = rng.integers(0, 5, size=3)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.linear(x, w, b), t), [x, w, b])
+    h, emb, bias = rand64(rng, 4, 3), rand64(rng, 5, 3), rand64(rng, 5)
+    rows = np.array([2, 0, 1, 2, 0])
+    t = rng.integers(0, 5, size=5)
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.mlm_head(h, rows, emb, bias), t), [h, emb, bias])
 
 
 def test_grad_self_attention():
@@ -286,7 +301,7 @@ def test_grad_self_attention():
     # sequences of one length
     rng = np.random.default_rng(27)
     x = rand64(rng, 11, 6)
-    params = [rand64(rng, *shape) for shape in ((6, 6), (6,)) * 3]
+    params = [rand64(rng, *shape) for shape in ((6, 6), (6,)) * 4]  # q, k, v and the output projection
     blocks = [(slice(0, 4), 2), (slice(4, 7), 3), (slice(7, 11), 4)]
     t = rng.integers(0, 6, size=11)
     assert_grads_match(
@@ -302,33 +317,30 @@ def test_grad_feed_forward():
                        [x, w1, b1, w2, b2])
 
 
-def test_grad_transpose2d():
-    rng = np.random.default_rng(12)
-    x = rand64(rng, 6, 4)
-    t = rng.integers(0, 6, size=4)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.transpose2d(x), t), [x])
-
-
 def test_grad_add():
-    # x is both operands of the outer add, so its gradient accumulates
+    # x is both operands of add_layer_norm's residual sum, so its gradient
+    # accumulates
     rng = np.random.default_rng(13)
-    x, y = rand64(rng, 3, 5), rand64(rng, 3, 5)
+    x, g, b = rand64(rng, 3, 5), rand64(rng, 5), rand64(rng, 5)
     t = rng.integers(0, 5, size=3)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.add(ad.add(x, y), x), t), [x, y])
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.add_layer_norm(x, x, g, b, eps=1e-12), t),
+                       [x, g, b])
 
 
 def test_add_refuses_unequal_shapes():
     # no caller broadcasts, so a bias row is refused rather than broadcast
     with pytest.raises(ValueError, match="equal shapes"):
-        ad.add(t64(np.zeros((3, 5))), t64(np.zeros(5)))
+        ad.add_layer_norm(t64(np.zeros((3, 5))), t64(np.zeros(5)), t64(np.ones(5)), t64(np.zeros(5)),
+                          eps=1e-12)
 
 
-def test_grad_gather_rows_repeated_ids():
+def test_grad_embed_repeated_ids():
+    # repeated token ids and positions accumulate; token row 1 is never looked up
     rng = np.random.default_rng(18)
-    x = rand64(rng, 5, 3)
-    ids = np.array([0, 2, 2, 4, 0, 0])
+    tok, pos = rand64(rng, 5, 3), rand64(rng, 4, 3)
+    ids, positions = np.array([0, 2, 2, 4, 0, 0]), np.array([0, 1, 2, 0, 1, 3])
     t = rng.integers(0, 3, size=6)
-    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.gather_rows(x, ids), t), [x])
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.embed(tok, pos, ids, positions), t), [tok, pos])
 
 
 def test_grad_amax():
@@ -359,10 +371,11 @@ def test_grad_softmax():
 
 def test_grad_layer_norm():
     rng = np.random.default_rng(22)
-    x, g, b = rand64(rng, 4, 6), rand64(rng, 6), rand64(rng, 6)
+    x, y, g, b = rand64(rng, 4, 6), rand64(rng, 4, 6), rand64(rng, 6), rand64(rng, 6)
     t = rng.integers(0, 6, size=4)
     assert_grads_match(
-        lambda: ad.softmax_cross_entropy(ad.layer_norm(x, g, b), t), [x, g, b], rtol=2e-4
+        lambda: ad.softmax_cross_entropy(ad.add_layer_norm(x, y, g, b, eps=1e-12), t), [x, y, g, b],
+        rtol=2e-4
     )
 
 
@@ -427,7 +440,7 @@ def test_finite_inputs_give_finite_grads(arr):
     n, m = arr.shape
     eye, zero = Tensor(np.eye(m)), Tensor(np.zeros(m))
     with GradTape() as tape:
-        h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, [(slice(0, n), n)], heads=1)
+        h = ad.self_attention(x, eye, zero, eye, zero, eye, zero, eye, zero, [(slice(0, n), n)], heads=1)
         pooled = ad.splade_pool(ad.feed_forward(h, eye, zero, eye, zero), eye, zero,
                                 np.ones(n, dtype=bool), [(slice(0, n), n)], [0])
         loss = ad.softmax_cross_entropy(pooled, np.array([0]))

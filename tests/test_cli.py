@@ -84,6 +84,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="half"):
             load_config(path)
 
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"model": {"n_layers": 2,}}')
+        with pytest.raises(ValueError, match=r"c\.json: not valid JSON: Expecting property name"):
+            load_config(path)
+        path.write_text('[{"model": {}}]')
+        with pytest.raises(ValueError, match=r"c\.json: expected a JSON object, got list"):
+            load_config(path)
+
+    @pytest.mark.parametrize("body, section, detail", [
+        ('"model": {"n_layers": "6"}', "model", "n_layers must be a positive integer, got '6'"),
+        ('"pipeline": {"lr": "fast"}', "pipeline", "not str"),
+        ('"data": {"synth": {"n_topics": "4"}}', "data.synth", "'str' and 'int'"),
+    ])
+    def test_a_value_of_the_wrong_type_names_the_file_and_section(self, tmp_path, body,
+                                                                   section, detail):
+        path = tmp_path / "c.json"
+        path.write_text("{" + body + "}")
+        with pytest.raises(ValueError, match=rf"c\.json: section '{section}': .*{detail}"):
+            load_config(path)
+
     def test_flag_overrides(self, tmp_path):
         import argparse
         cfg = load_config(None)
@@ -164,6 +185,24 @@ class TestStagewise:
             mine = (tmp_path / "checkpoints" / stage / "tensors.bin").read_bytes()
             ref = (pipeline_dir / "checkpoints" / stage / "tensors.bin").read_bytes()
             assert mine == ref, f"{stage} differs from the one-shot pipeline"
+
+    def test_a_base_of_another_seed_is_refused(self, config_path, tmp_path, capsys):
+        # the base is init_weights(config, seed): a workdir first used at seed 3
+        # must not lend its base to a pretrain at seed 4
+        w = str(tmp_path)
+        assert main(["pretrain", "--config", config_path, "--workdir", w,
+                     "--stage", "pretrain_source"]) == 0
+        base = (tmp_path / "checkpoints" / "base" / "tensors.bin").read_bytes()
+        capsys.readouterr()
+        for command in (["pretrain", "--stage", "pretrain_target"], ["finetune", "--mode", "wo_source"]):
+            rc = main([*command, "--config", config_path, "--workdir", w, "--seed", "4"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert str(tmp_path / "checkpoints" / "base") in err and "seed 4" in err
+        assert (tmp_path / "checkpoints" / "base" / "tensors.bin").read_bytes() == base
+        assert not (tmp_path / "checkpoints" / "pretrain_target").exists()
+        assert main(["pretrain", "--config", config_path, "--workdir", w,
+                     "--stage", "pretrain_target", "--seed", "3"]) == 0
 
     def test_compose_without_finetune_names_the_missing_stage(self, config_path, tmp_path,
                                                               capsys):

@@ -18,6 +18,8 @@ from spladapt.model import (
 from spladapt.training import build_mlm_batch
 from spladapt.vocab import CLS_ID, N_SPECIALS, PAD_ID, SEP_ID, UNK_ID
 
+from helpers import numeric_gradient
+
 TINY = ModelConfig(vocab_size=30, n_layers=2, d_model=8, n_heads=2, d_ffn=16,
                    max_seq_len=12, k_domain_layers=1)
 
@@ -331,7 +333,7 @@ def test_tied_head_routes_gradient_to_token_embeddings():
 def test_full_encoder_gradient_check_small():
     cfg = ModelConfig(vocab_size=12, n_layers=1, d_model=4, n_heads=2, d_ffn=8,
                       max_seq_len=6, k_domain_layers=0)
-    w = init_weights(cfg, seed=10).astype(np.float64)
+    w = init_weights(cfg, seed=10, dtype=np.float64)
     ids = np.array([[CLS_ID, 6, 8, SEP_ID]])
     targets = np.array([-100, 9, 7, -100])
 
@@ -342,5 +344,5 @@ def test_full_encoder_gradient_check_small():
         tape.backward(loss_fn())
     for name in w.names():
         analytic = w[name].grad if w[name].grad is not None else np.zeros_like(w[name].data)
-        numeric = ad.numeric_gradient(loss_fn, w[name], eps=1e-5)
+        numeric = numeric_gradient(loss_fn, w[name], eps=1e-5)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-8, err_msg=name)

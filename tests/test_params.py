@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from spladapt.model import ModelConfig, init_weights, parameter_shapes
 from spladapt.params import (
-    Checkpoint, CorruptionError, FreezeReport, compose, fnv1a64, freeze_verify,
-    load_checkpoint, partition_parameters, save_checkpoint, tensor_checksums,
+    Checkpoint, CorruptionError, compose, fnv1a64, load_checkpoint, partition_parameters,
+    save_checkpoint,
 )
+
+from helpers import FreezeReport, freeze_verify, tensor_checksums
 
 CFG = ModelConfig(vocab_size=40, n_layers=3, d_model=8, n_heads=2, d_ffn=16,
                   max_seq_len=10, k_domain_layers=1)
@@ -207,7 +209,7 @@ def test_unknown_stage_rejected():
 
 
 def test_float64_weights_refused(tmp_path):
-    ckpt = Checkpoint(init_weights(CFG, seed=5).astype(np.float64), stage="base")
+    ckpt = Checkpoint(init_weights(CFG, seed=5, dtype=np.float64), stage="base")
     with pytest.raises(ValueError):
         save_checkpoint(ckpt, tmp_path / "ck")
 

@@ -12,14 +12,14 @@ from spladapt.autodiff import GradTape, Tensor
 from spladapt.cli import load_config
 from spladapt.data import TrainTriple
 from spladapt.model import ModelConfig, encode_sparse_batch, init_weights, mlm_logits
-from spladapt.params import (
-    Checkpoint, freeze_verify, partition_parameters, tensor_checksums,
-)
+from spladapt.params import Checkpoint, partition_parameters
 from spladapt.training import (
     MASK_ACTIONS, MODES, PipelineSpec, StageSpec, build_mlm_batch, finetune_ir,
     mask_tokens, pretrain_mlm, run_pipeline,
 )
 from spladapt.vocab import CLS_ID, MASK_ID, SEP_ID, Vocabulary, build_vocabulary
+
+from helpers import freeze_verify, numeric_gradient, tensor_checksums
 
 CFG = ModelConfig(vocab_size=60, n_layers=2, d_model=16, n_heads=2, d_ffn=32,
                   max_seq_len=16, k_domain_layers=1)
@@ -166,7 +166,7 @@ def test_ranking_loss_gradcheck():
 
     with GradTape() as tape:
         tape.backward(loss_fn())
-    numeric = ad.numeric_gradient(loss_fn, reps)
+    numeric = numeric_gradient(loss_fn, reps)
     np.testing.assert_allclose(reps.grad, numeric, rtol=1e-4, atol=1e-8)
 
 
@@ -455,17 +455,18 @@ def test_fused_ops_with_frozen_weights_still_pass_the_input_gradient():
     blocks = [(slice(0, 1), 1), (slice(1, 3), 2), (slice(3, 6), 3)]
     x = param(6, 8)
     ops = {
-        "linear": (ad.linear, [param(8, 5), param(5)]),
         "self_attention": (lambda *a: ad.self_attention(*a, blocks, heads=2),
-                           [param(*shape) for shape in ((8, 8), (8,)) * 3]),
+                           [param(*shape) for shape in ((8, 8), (8,)) * 4]),
+        "add_layer_norm": (lambda *a: ad.add_layer_norm(*a, eps=1e-12), [param(6, 8), param(8), param(8)]),
         "feed_forward": (ad.feed_forward, [param(8, 16), param(16), param(16, 8), param(8)]),
+        "mlm_head": (lambda h, *a: ad.mlm_head(h, np.array([4, 0, 4, 5]), *a), [param(5, 8), param(5)]),
     }
     for name, (op, weights) in ops.items():
         def input_grad():
             x.grad = None
             with GradTape() as tape:
                 out = op(x, *weights)
-                tape.backward(ad.softmax_cross_entropy(out, np.arange(6) % out.shape[1]))
+                tape.backward(ad.softmax_cross_entropy(out, np.arange(len(out.data)) % out.shape[1]))
             return x.grad
 
         full = input_grad()
