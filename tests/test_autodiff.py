@@ -296,6 +296,26 @@ def test_grad_mlm_head():
     assert_grads_match(lambda: ad.softmax_cross_entropy(ad.mlm_head(h, rows, emb, bias), t), [h, emb, bias])
 
 
+def test_grad_linear():
+    # the tied head at every hidden row once is the linear map x @ emb.T + bias
+    rng = np.random.default_rng(11)
+    x, emb, b = rand64(rng, 3, 4), rand64(rng, 5, 4), rand64(rng, 5)
+    rows = np.arange(3)
+    np.testing.assert_allclose(ad.mlm_head(x, rows, emb, b).data, x.data @ emb.data.T + b.data)
+    t = rng.integers(0, 5, size=3)
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.mlm_head(x, rows, emb, b), t), [x, emb, b])
+
+
+def test_grad_transpose2d():
+    # identity hidden rows and a zero bias: the tied head's logits are emb.T
+    rng = np.random.default_rng(12)
+    x = rand64(rng, 6, 4)
+    eye, zero = t64(np.eye(4), req=False), t64(np.zeros(6), req=False)
+    np.testing.assert_array_equal(ad.mlm_head(eye, np.arange(4), x, zero).data, x.data.T)
+    t = rng.integers(0, 6, size=4)
+    assert_grads_match(lambda: ad.softmax_cross_entropy(ad.mlm_head(eye, np.arange(4), x, zero), t), [x])
+
+
 def test_grad_self_attention():
     # two heads; sequences of 2, 2, 3 and 4 positions: three lengths, two
     # sequences of one length
