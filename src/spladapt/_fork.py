@@ -2,8 +2,9 @@
 
 The experiment has independent parts: the target pretrain reads no source
 stage, the fine-tune from base reads only the seeded base, and report rows
-read only their own encoder. Each part is numpy-bound and owns its seeded
-generator, so running one beside the caller changes no output byte: a
+read only their own encoder; so are the batches index.encode_corpus
+encodes. Each part is numpy-bound and owns its seeded generator (if any),
+so running one beside the caller changes no output byte: a
 forked child keeps the parent's BLAS thread count, and its results come
 back pickled, which preserves every array exactly.
 

@@ -10,8 +10,11 @@ ascending doc id order, column t for term id t, concatenated from each doc's
                once from the counts, doc lengths and avgdl with the
                constants k1 = BM25_K1 = 0.9 and b = BM25_B = 0.4.
 
-encode_corpus batches the docs with content tokens; a doc's vector does not
-depend on its batch-mates, since the encoder packs a batch without padding.
+encode_corpus sorts the docs with content tokens by length and batches
+them, so each batch packs into few length blocks; where a forked worker
+gets a core of its own (_fork.fork_pays), it encodes every other batch. A
+doc's vector does not depend on its batch-mates, since the encoder packs a
+batch without padding, so neither choice moves a byte.
 
 Ranking everywhere is (score descending, doc id ascending). Top-k is exact:
 every document with a nonzero score is considered, no approximation.
@@ -30,6 +33,7 @@ import json
 import math
 import struct
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -37,6 +41,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from ._fork import forked
 from .model import EncoderWeights, SparseVector, encode_sparse_batch
 from .params import _read_json, _require, _write_atomic, fnv1a64
 from .vocab import N_SPECIALS, UNK_ID, Vocabulary, tokenize
@@ -127,19 +132,45 @@ def _index(kind: str, rows: dict[str, tuple], doc_lengths: dict[str, int]) -> In
 def encode_corpus(weights: EncoderWeights, docs: dict[str, str], vocab: Vocabulary,
                   batch_size: int = 32) -> dict[str, SparseVector]:
     """Each doc's strictly positive encoder row entries (empty without content
-    tokens), batched for throughput with the same bytes as one doc at a time;
-    a non-finite row is refused, naming its doc."""
+    tokens), in the order of docs; a non-finite row is refused, naming the
+    first such doc in that order.
+
+    The docs with content tokens are stably sorted by length and cut into
+    the fewest batches of at most batch_size, equal in size to within one
+    doc, so a batch packs into few length blocks. Where _fork.fork_pays(),
+    a forked worker encodes every other batch while the caller encodes the
+    rest; one batch runs inline. A doc encodes to the same bytes in any
+    batch, so the vectors do not depend on either choice.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     seqs = {d: vocab.encode(text, weights.config.max_seq_len) for d, text in docs.items()}
-    reps = dict.fromkeys(seqs, SparseVector())
-    items = [(d, s) for d, s in seqs.items() if (s >= N_SPECIALS).any()]
-    for start in range(0, len(items), batch_size):
-        chunk = items[start: start + batch_size]
-        for (doc_id, _), row in zip(chunk, encode_sparse_batch(weights, [s for _, s in chunk]).data):
-            if not np.isfinite(row).all():
-                raise ValueError(f"encoder row of {doc_id!r} holds a non-finite weight")
-            tids = np.flatnonzero(row > 0)
-            reps[doc_id] = SparseVector.from_arrays(tids, row[tids].astype(np.float64))
+    reps: dict[str, SparseVector | None] = dict.fromkeys(seqs, SparseVector())
+    items = sorted(((d, s) for d, s in seqs.items() if (s >= N_SPECIALS).any()),
+                   key=lambda item: len(item[1]))
+    n = -(-len(items) // batch_size)  # the fewest batches of at most batch_size
+    batches = [items[len(items) * i // n: len(items) * (i + 1) // n] for i in range(n)]
+    share = (_encode_batch(weights, batch) for batch in batches[1::2])
+    with forked(share) if len(batches) > 1 else nullcontext() as from_worker:
+        for i, batch in enumerate(batches):
+            reps.update(from_worker() if i % 2 else _encode_batch(weights, batch))
+    bad = next((doc_id for doc_id, vec in reps.items() if vec is None), None)
+    if bad is not None:
+        raise ValueError(f"encoder row of {bad!r} holds a non-finite weight")
     return reps
+
+
+def _encode_batch(weights: EncoderWeights,
+                  batch: list[tuple[str, np.ndarray]]) -> list[tuple[str, SparseVector | None]]:
+    """(doc id, vector) for each (doc id, token ids) of one batch, with None
+    for a doc whose encoder row is not finite."""
+    rows = encode_sparse_batch(weights, [seq for _, seq in batch]).data
+    out = []
+    for (doc_id, _), row, finite in zip(batch, rows, np.isfinite(rows).all(axis=1)):
+        tids = np.flatnonzero(row > 0)
+        out.append((doc_id, SparseVector.from_arrays(tids, row[tids].astype(np.float64))
+                    if finite else None))
+    return out
 
 
 def build_impact_index(docs: dict[str, str], weights: EncoderWeights,

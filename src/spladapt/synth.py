@@ -25,7 +25,8 @@ supervision is ever emitted for training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class SynthSpec:
     doc_len_max: int = 24
 
     def __post_init__(self):
+        for f in fields(self):
+            value, real = getattr(self, f.name), f.name == "cooccurrence"
+            if not isinstance(value, numbers.Real if real else numbers.Integral):
+                kind = "a real number" if real else "an integer"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         if self.n_topics < 2:
             raise ValueError("need at least 2 topics for negatives to exist")
         if self.shared_vocab < 4 * self.n_topics:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import resource
 import time
 from dataclasses import dataclass
@@ -124,6 +125,17 @@ def build_mlm_batch(sequences: Sequence[np.ndarray], rng: np.random.Generator,
     return MlmBatch([ids for ids, _, _ in masked], np.concatenate([labels for _, labels, _ in masked]))
 
 
+def _refuse_non_numbers(spec, where: str, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Refuse, by field name, a field of spec named in ints that is not an
+    integer, or one named in reals that is not a real number."""
+    for names, kind, what in ((ints, numbers.Integral, "an integer"),
+                              (reals, numbers.Real, "a real number")):
+        for name in names:
+            value = getattr(spec, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{where}{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class StageSpec:
     """Budget and hyperparameters for one training stage."""
@@ -138,6 +150,8 @@ class StageSpec:
     lambda_d: float = 1e-4
 
     def __post_init__(self):
+        _refuse_non_numbers(self, f"{self.stage}: ", ("steps", "batch_size", "seed"),
+                            ("lr", "mask_prob", "lambda_q", "lambda_d"))
         for name, ok, rule in (
             ("steps", self.steps >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -335,6 +349,8 @@ class PipelineSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        _refuse_non_numbers(self, "", ("seed", "pretrain_steps", "finetune_steps", "batch_size"),
+                            ("lr", "mask_prob", "lambda_q", "lambda_d"))
         # built once here, so that StageSpec checks every number at construction;
         # stage seeds are derived from the experiment seed with fixed offsets
         self._stages = {

@@ -95,8 +95,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("body, section, detail", [
         ('"model": {"n_layers": "6"}', "model", "n_layers must be a positive integer, got '6'"),
-        ('"pipeline": {"lr": "fast"}', "pipeline", "not str"),
-        ('"data": {"synth": {"n_topics": "4"}}', "data.synth", "'str' and 'int'"),
+        ('"pipeline": {"lr": "fast"}', "pipeline", "lr must be a real number, got 'fast'"),
+        ('"pipeline": {"seed": 1.5}', "pipeline", "seed must be an integer, got 1.5"),
+        ('"data": {"synth": {"n_topics": "4"}}', "data.synth", "n_topics must be an integer, got '4'"),
+        ('"data": {"synth": {"cooccurrence": null}}', "data.synth",
+         "cooccurrence must be a real number, got None"),
     ])
     def test_a_value_of_the_wrong_type_names_the_file_and_section(self, tmp_path, body,
                                                                    section, detail):

@@ -10,10 +10,10 @@ import time
 
 import pytest
 
-from spladapt import _fork, experiment, training
+from spladapt import _fork, experiment, index, training
 from spladapt.data import Dataset
 from spladapt.experiment import benchmark_variants
-from spladapt.model import ModelConfig
+from spladapt.model import ModelConfig, init_weights
 from spladapt.synth import SynthSpec, generate
 from spladapt.training import PipelineSpec
 from spladapt.vocab import build_vocabulary
@@ -81,6 +81,45 @@ def test_a_forked_block_nested_in_another_forks_only_with_a_core_for_it(monkeypa
             assert (inner() != caller) is nests
         assert outer() != caller
     no_worker_left()
+
+
+def test_encode_corpus_forks_only_where_a_core_is_free(monkeypatch, tmp_path):
+    """Pinned to 1 BLAS thread on 2 cores, encode_corpus forks a worker when
+    it runs alone, but neither beside a live worker nor inside one, whose
+    sender thread is running: so the experiment's rows stay inline."""
+    pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
+    log, fork = tmp_path / "forks", os.fork
+
+    def logged_fork():  # the worker inherits the patch, so its forks are logged too
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+    monkeypatch.setattr(os, "fork", logged_fork)
+    spec, source, target, vocab = tiny_benchmark()
+    weights = init_weights(spec.model, seed=0)
+    caller = os.getpid()
+
+    def forks():
+        return log.read_text().split() if log.exists() else []
+
+    alone = index.encode_corpus(weights, target.docs, vocab, batch_size=8)
+    assert forks() == [str(caller)]
+    no_worker_left()
+
+    def lane():
+        yield index.encode_corpus(weights, target.docs, vocab, batch_size=8)
+        time.sleep(60)  # alive while the caller encodes
+        yield None
+
+    log.unlink()
+    with _fork.forked(lane()) as from_worker:
+        in_worker = from_worker()
+        beside = index.encode_corpus(weights, target.docs, vocab, batch_size=8)
+    assert forks() == [str(caller)]  # the lane's own worker, and nothing else
+    no_worker_left()
+    for reps in (in_worker, beside):
+        assert list(reps) == list(alone)
+        assert all(reps[d].items() == alone[d].items() for d in alone)
 
 
 @pytest.fixture(params=[True, False], ids=["child", "inline"])
