@@ -17,7 +17,10 @@ doc's vector does not depend on its batch-mates, since the encoder packs a
 batch without padding, so neither choice moves a byte.
 
 Ranking everywhere is (score descending, doc id ascending). Top-k is exact:
-every document with a nonzero score is considered, no approximation.
+every document with a nonzero score is considered, no approximation. Beyond
+cutoff scoring docs, a partition bounds the sort to those scoring at least
+the cutoff-th best score, ties at that score included, so the rule holds at
+the cutoff too.
 
 On disk an index is a directory {meta.json, postings.bin, docstore.bin}.
 postings.bin is the matrix's own CSR arrays, little-endian, one row per
@@ -108,7 +111,8 @@ class InvertedIndex:
     def _bm25(self) -> sp.csr_array:
         """BM25 weight of every stored count: idf x saturated term frequency."""
         m = self.matrix
-        idf = np.array([bm25_idf(self.n_docs, df) for df in self._dfs.tolist()])
+        dfs, of_term = np.unique(self._dfs, return_inverse=True)  # bm25_idf once per distinct df
+        idf = np.array([bm25_idf(self.n_docs, df) for df in dfs.tolist()])[of_term]
         lengths = np.array([self.doc_lengths[d] for d in self.doc_ids], dtype=np.float64)
         dl, tf = np.repeat(lengths, np.diff(m.indptr)), m.data
         tf_part = tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / self.avgdl))
@@ -213,17 +217,26 @@ def _top_k(index: InvertedIndex, matrix: sp.csr_array, tids: np.ndarray, vals: n
     """Exact top-k of one sparse product: each doc scores the inner product
     of its matrix row with the query, distinct term ids tids weighted by vals
     (ids past the last column match nothing). Only nonzero scores rank; ties
-    break by ascending doc id, which is ascending row."""
+    break by ascending doc id, which is ascending row.
+
+    When more docs score than cutoff, only those scoring at least the
+    cutoff-th best score are sorted, found with np.partition; every doc tied
+    at that score is kept, so the doc id still breaks the tie at the cutoff.
+    """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     q = np.zeros(matrix.shape[1])
     keep = tids < len(q)
     q[tids[keep]] = vals[keep]
     scores = matrix @ q
-    cand = np.flatnonzero(scores)
+    cand = scores.nonzero()[0]
+    if len(cand) > cutoff:  # >= keeps every tie with the cutoff-th best score
+        best = scores[cand]
+        cand = cand[best >= np.partition(best, -cutoff)[-cutoff]]
     top = cand[np.lexsort((cand, -scores[cand]))[:cutoff]]
+    doc_ids = index.doc_ids
     return RankedList(query_id=query_id,
-                      entries=[(index.doc_ids[i], float(scores[i])) for i in top.tolist()])
+                      entries=list(zip([doc_ids[i] for i in top.tolist()], scores[top].tolist())))
 
 
 def retrieve_sparse(index: InvertedIndex, query: SparseVector, cutoff: int,

@@ -205,6 +205,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: field 'config': {exc}") from None
     blob = blob_path.read_bytes()
+    view = memoryview(blob)  # tensor slices without copying their bytes
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
     for i, rec in enumerate(manifest["tensors"]):
@@ -218,7 +219,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"{manifest_path}: tensor {name} field 'shape' {rec['shape']} / "
                              f"'nbytes' {rec['nbytes']}; the config needs {shape} in "
                              f"{4 * math.prod(shape)} bytes")
-        raw = blob[rec["offset"]: rec["offset"] + rec["nbytes"]]
+        raw = view[rec["offset"]: rec["offset"] + rec["nbytes"]]
         if len(raw) != rec["nbytes"]:
             raise CorruptionError(f"{path}: tensor {name} extends past the end of tensors.bin")
         if fnv1a64(raw) != rec["checksum"]:

@@ -1,5 +1,5 @@
-"""Test-only helpers: finite-difference gradients, per-tensor checksums and
-the byte comparison that audits frozen tensors."""
+"""Test-only helpers: finite-difference gradients, per-tensor checksums, the
+byte comparison that audits frozen tensors, and a full-sort top-k reference."""
 
 from __future__ import annotations
 
@@ -7,8 +7,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from spladapt.autodiff import Tensor
+from spladapt.index import InvertedIndex, RankedList
 from spladapt.model import EncoderWeights
 from spladapt.params import _tensor_bytes, fnv1a64
 
@@ -65,3 +67,19 @@ def freeze_verify(before: EncoderWeights, after: EncoderWeights,
     violations = changed & set(expected_frozen)
     trained_moved = bool(changed - set(expected_frozen))
     return FreezeReport(frozenset(identical), frozenset(changed), frozenset(violations), trained_moved)
+
+
+def reference_top_k(index: InvertedIndex, matrix: sp.csr_array, tids: np.ndarray,
+                    vals: np.ndarray, cutoff: int, query_id: str) -> RankedList:
+    """index._top_k by a lexsort of every doc with a nonzero score, and one
+    float() per entry."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    q = np.zeros(matrix.shape[1])
+    keep = tids < len(q)
+    q[tids[keep]] = vals[keep]
+    scores = matrix @ q
+    cand = np.flatnonzero(scores)
+    top = cand[np.lexsort((cand, -scores[cand]))[:cutoff]]
+    return RankedList(query_id=query_id,
+                      entries=[(index.doc_ids[i], float(scores[i])) for i in top.tolist()])

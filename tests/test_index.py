@@ -22,6 +22,8 @@ from spladapt.model import ModelConfig, SparseVector, encode_sparse_batch, init_
 from spladapt.params import fnv1a64
 from spladapt.vocab import N_SPECIALS, PAD_ID, Vocabulary, build_vocabulary
 
+from helpers import reference_top_k
+
 
 def brute_force_sparse(reps, query, cutoff):
     def score(q, d):
@@ -330,6 +332,36 @@ def test_random_corpora_match_brute_force():
             assert abs(a - b) < 1e-9
 
 
+def test_top_k_entries_match_the_full_sort_under_heavy_ties():
+    rng = np.random.default_rng(19)
+    cut_ties = 0  # cases whose cutoff splits docs tied at the cutoff-th score
+    for trial in range(30):
+        n_docs, V = int(rng.integers(2, 50)), int(rng.integers(3, 10))
+        reps, docs = {}, {}
+        for i in range(n_docs):
+            tids = rng.choice(V, size=int(rng.integers(0, 4)), replace=False)
+            reps[f"d{i:02d}"] = SparseVector({int(t): float(rng.integers(1, 3)) for t in tids})
+            docs[f"d{i:02d}"] = " ".join(f"w{t}" for t in rng.integers(0, V, size=int(rng.integers(1, 5))))
+        impact = index_from_vectors(reps)
+        freq = build_frequency_index(docs, build_vocabulary([docs.values()], max_size=100))
+        for index, matrix in ((impact, impact.matrix), (freq, freq.matrix), (freq, freq._bm25)):
+            width = matrix.shape[1]
+            queries = [np.arange(0), np.arange(width, width + 3)]  # nothing to match, all past the end
+            queries += [np.unique(rng.integers(0, width + 3, size=int(rng.integers(1, 6))))
+                        for _ in range(3)]
+            for tids in queries:
+                vals = rng.integers(1, 3, size=len(tids)).astype(np.float64)
+                ranked = reference_top_k(index, matrix, tids, vals, n_docs, "").entries
+                n = len(ranked)
+                for cutoff in sorted({1, max(n - 1, 1), n + 1, int(rng.integers(1, n_docs + 1))}):
+                    got = index_module._top_k(index, matrix, tids, vals, cutoff, "q")
+                    want = reference_top_k(index, matrix, tids, vals, cutoff, "q")
+                    assert got.query_id == "q" and got.entries == want.entries
+                    assert all(type(d) is str and type(s) is float for d, s in got.entries)
+                    cut_ties += cutoff < n and ranked[cutoff - 1][1] == ranked[cutoff][1]
+    assert cut_ties >= 50
+
+
 # ---------------------------------------------------------------- frequency kind
 
 
@@ -338,6 +370,25 @@ def test_bm25_idf_single_point():
     assert abs(bm25_idf(2, 1) - math.log(2.0)) < 1e-12
     # df == N stays non-negative
     assert bm25_idf(5, 5) > 0.0
+
+
+def test_bm25_weights_keep_the_bits_of_one_idf_per_term():
+    rng = np.random.default_rng(3)
+    docs = {f"d{i:03d}": " ".join(f"w{int(t)}" for t in rng.zipf(1.5, size=int(rng.integers(1, 30))))
+            for i in range(100)}
+    for d in ("d000", "d001"):  # at N = 100, np.log misses math.log by one ulp at df = 2
+        docs[d] += " pair"
+    index = build_frequency_index(docs, build_vocabulary([docs.values()], max_size=500))
+    m = index.matrix
+    assert len(set(index._dfs.tolist())) < m.shape[1]  # repeated dfs share one idf
+    idf = np.array([bm25_idf(index.n_docs, df) for df in index._dfs.tolist()])
+    lengths = np.array([index.doc_lengths[d] for d in index.doc_ids], dtype=np.float64)
+    dl, tf = np.repeat(lengths, np.diff(m.indptr)), m.data
+    tf_part = tf * (BM25_K1 + 1.0) / (tf + BM25_K1 * (1.0 - BM25_B + BM25_B * dl / index.avgdl))
+    got = index._bm25
+    assert got.shape == m.shape
+    assert (got.indptr == m.indptr).all() and (got.indices == m.indices).all()
+    assert got.data.tobytes() == (idf[m.indices] * tf_part).tobytes()
 
 
 def test_bm25_hand_checked_score():
