@@ -37,7 +37,9 @@ from .experiment import (
 )
 from .index import build_frequency_index, build_impact_index, load_index, save_index
 from .model import ModelConfig, init_weights
-from .params import STAGES, Checkpoint, _read_json, compose, load_checkpoint, save_checkpoint
+from .params import (
+    STAGES, Checkpoint, _read_json, _require, compose, load_checkpoint, save_checkpoint,
+)
 from .synth import SynthSpec, generate
 from .training import MODES, PipelineSpec, finetune_ir, pretrain_mlm
 from .vocab import Vocabulary, build_vocabulary
@@ -222,6 +224,45 @@ def load_stage(workdir: Path, stage: str, hint: str) -> Checkpoint:
     return load_checkpoint(path)
 
 
+def load_input_stage(workdir: Path, stage: str, hint: str, model: ModelConfig,
+                     seed: int) -> Checkpoint:
+    """load_stage, refused unless the checkpoint is tagged stage, has this
+    run's model config, and each parent checksum leads back, through the
+    workdir's saved stages, to the base init_weights(model, seed)."""
+    ckpt = load_stage(workdir, stage, hint)
+    manifest = _stage_dir(workdir, stage) / "manifest.json"
+    if ckpt.stage != stage:
+        raise ValueError(f"{manifest}: field 'stage' is {ckpt.stage!r}, not {stage!r}")
+    if ckpt.config != model:
+        raise ValueError(f"{manifest}: field 'config' is not this run's model config "
+                         f"({ckpt.config} vs {model})")
+    base_checksum = Checkpoint(init_weights(model, seed=seed), stage="base").checksum()
+
+    def leads_to_base(saved_as: str, child: Checkpoint) -> bool:
+        for i, ref in enumerate(child.parents):
+            _require(ref, ("stage", "checksum"),
+                     f"{_stage_dir(workdir, saved_as) / 'manifest.json'}: parents[{i}]")
+            if ref["stage"] == "base":
+                if ref["checksum"] != base_checksum:
+                    return False
+                continue
+            # a stage descends only from earlier ones, so the walk ends
+            if ref["stage"] not in STAGES[1:STAGES.index(saved_as)]:
+                return False
+            path = _stage_dir(workdir, ref["stage"])
+            if not (path / "manifest.json").exists():
+                return False
+            parent = load_checkpoint(path)
+            if parent.checksum() != ref["checksum"] or not leads_to_base(ref["stage"], parent):
+                return False
+        return bool(child.parents)
+
+    if not leads_to_base(stage, ckpt):
+        raise ValueError(f"{manifest}: field 'parents' does not lead back through the saved "
+                         f"stages of {workdir} to the base of this model config at seed {seed}")
+    return ckpt
+
+
 def ensure_base(workdir: Path, model: ModelConfig, seed: int) -> Checkpoint:
     """The base checkpoint init_weights(model, seed), saved on first use. A
     saved base that holds other weights or another config is refused."""
@@ -290,7 +331,8 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     cfg, workdir, source, _, vocab = _prepare(args)
     spec = cfg.spec
     if spec.mode == "full":
-        init = load_stage(workdir, "pretrain_source", "pretrain --stage pretrain_source")
+        init = load_input_stage(workdir, "pretrain_source", "pretrain --stage pretrain_source",
+                                spec.model, spec.seed)
     else:
         init = ensure_base(workdir, spec.model, spec.seed)
     (workdir / "logs").mkdir(exist_ok=True)
@@ -303,11 +345,13 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     cfg, workdir, _, _, _ = _prepare(args)
-    finetuned = load_stage(workdir, "finetune_source", "finetune")
+    model, seed = cfg.spec.model, cfg.spec.seed
+    finetuned = load_input_stage(workdir, "finetune_source", "finetune", model, seed)
     if cfg.spec.mode == "wo_pretraining":
         composed = finetuned.derive("composed", parents=[finetuned.parent_ref()])
     else:
-        pretrained = load_stage(workdir, "pretrain_target", "pretrain --stage pretrain_target")
+        pretrained = load_input_stage(workdir, "pretrain_target",
+                                      "pretrain --stage pretrain_target", model, seed)
         composed = compose(pretrained, finetuned)
     path = save_checkpoint(composed, _stage_dir(workdir, "composed"))
     parents = ", ".join(f"{p['stage']}@{p['checksum'][:12]}" for p in composed.parents)

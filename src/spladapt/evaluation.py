@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import median
 from typing import Iterable, Sequence
@@ -134,17 +134,15 @@ def sparsity_stats(vectors: Iterable[SparseVector]) -> dict[str, float]:
 # ---------------------------------------------------------------- run files
 
 
-def write_run(runs: dict[str, RankedList] | list[RankedList], path: str | Path,
-              tag: str = "run") -> None:
-    """TREC run lines: query_id Q0 doc_id rank score tag. Rank is regenerated
-    from entry order; scores carry 6 decimal digits."""
-    if isinstance(runs, dict):
-        runs = [runs[qid] for qid in sorted(runs)]
-    if any(" " in r.query_id or "\t" in r.query_id for r in runs):
+def write_run(runs: dict[str, RankedList], path: str | Path, tag: str = "run") -> None:
+    """TREC run lines, queries in id order: query_id Q0 doc_id rank score
+    tag. Rank is regenerated from entry order; scores carry 6 decimal
+    digits."""
+    if any(" " in r.query_id or "\t" in r.query_id for r in runs.values()):
         raise ValueError("query ids may not contain whitespace")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for ranked in runs:
+        for ranked in (runs[qid] for qid in sorted(runs)):
             for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
                 if " " in doc_id or "\t" in doc_id:
                     raise ValueError(f"doc id {doc_id!r} contains whitespace")
@@ -193,9 +191,9 @@ class MethodResult:
     query_sparsity: dict[str, float] | None = None
 
     @classmethod
-    def from_run(cls, name: str, run: dict[str, RankedList], qrels: dict[str, dict[str, int]],
-                 k: int = DEFAULT_METRIC_DEPTH) -> "MethodResult":
-        ndcg, mrr = evaluate_run(run, qrels, k)
+    def from_run(cls, name: str, run: dict[str, RankedList],
+                 qrels: dict[str, dict[str, int]]) -> "MethodResult":
+        ndcg, mrr = evaluate_run(run, qrels)
         n = len(ndcg)
         return cls(name=name,
                    ndcg10=sum(ndcg.values()) / n,
@@ -233,7 +231,7 @@ class EvalReport:
                 return m
         raise KeyError(f"no method {name!r} in report")
 
-    def add_significance(self, method: str, baseline: str, alpha: float = 0.05) -> SignificanceTest:
+    def add_significance(self, method: str, baseline: str) -> SignificanceTest:
         m, b = self.method(method), self.method(baseline)
         shared = sorted(m.per_query_ndcg.keys() & b.per_query_ndcg.keys())
         if len(shared) != len(m.per_query_ndcg) or len(shared) != len(b.per_query_ndcg):
@@ -241,50 +239,25 @@ class EvalReport:
         result = paired_ttest([m.per_query_ndcg[q] for q in shared],
                               [b.per_query_ndcg[q] for q in shared])
         test = SignificanceTest(method=method, baseline=baseline, metric=f"ndcg{self.metric_depth}",
-                                t=result.t, p=result.p, alpha=alpha)
+                                t=result.t, p=result.p)
         self.significance.append(test)
         return test
 
     def to_json(self) -> str:
-        payload = {
-            "dataset": self.dataset,
-            "cutoff": self.cutoff,
-            "metric_depth": self.metric_depth,
-            "methods": [{
-                "name": m.name,
-                "ndcg10": m.ndcg10,
-                "mrr10": m.mrr10,
-                "per_query_ndcg": m.per_query_ndcg,
-                "per_query_mrr": m.per_query_mrr,
-                "doc_sparsity": m.doc_sparsity,
-                "query_sparsity": m.query_sparsity,
-            } for m in self.methods],
-            "significance": [{
-                "method": s.method, "baseline": s.baseline, "metric": s.metric,
-                "t": s.t, "p": s.p, "alpha": s.alpha, "significant": s.significant,
-            } for s in self.significance],
-            "metadata": self.metadata,
-        }
+        """The report's fields, with each significance test's verdict."""
+        payload = asdict(self)
+        for test, s in zip(payload["significance"], self.significance):
+            test["significant"] = s.significant
         return json.dumps(payload, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         obj = json.loads(text)
-        methods = [MethodResult(
-            name=m["name"], ndcg10=m["ndcg10"], mrr10=m["mrr10"],
-            per_query_ndcg=m.get("per_query_ndcg", {}),
-            per_query_mrr=m.get("per_query_mrr", {}),
-            doc_sparsity=m.get("doc_sparsity"),
-            query_sparsity=m.get("query_sparsity"),
-        ) for m in obj["methods"]]
-        significance = [SignificanceTest(
-            method=s["method"], baseline=s["baseline"], metric=s["metric"],
-            t=s["t"], p=s["p"], alpha=s.get("alpha", 0.05),
-        ) for s in obj.get("significance", [])]
-        return cls(dataset=obj["dataset"], cutoff=obj["cutoff"],
-                   metric_depth=obj.get("metric_depth", DEFAULT_METRIC_DEPTH),
-                   methods=methods, significance=significance,
-                   metadata=obj.get("metadata", {}))
+        obj["methods"] = [MethodResult(**m) for m in obj["methods"]]
+        obj["significance"] = [
+            SignificanceTest(**{k: v for k, v in s.items() if k != "significant"})
+            for s in obj["significance"]]
+        return cls(**obj)
 
     def format_table(self) -> str:
         depth = self.metric_depth

@@ -4,14 +4,16 @@ Report rows for one adaptation experiment on the target domain:
     bm25       frequency index + BM25 over target docs (no training)
     zeroshot   the fine-tuned source model applied to the target as-is
     composed   target-domain subset grafted onto the fine-tuned task subset
-Significance is paired on per-query nDCG against both baselines.
+Significance is paired on per-query nDCG, composed against every other
+row. run_experiment (through build_report) and benchmark_variants build
+the report in one place, _finish_report.
 
 Where BLAS is pinned so that a worker gets cores of its own
 (_fork.fork_pays), parts that read nothing of each other run in one forked
-worker process beside the caller: in build_report, the sparse rows other
-than the primary one; in benchmark_variants, a whole lane of stages and
-rows, streamed back as each is made. Every file a run writes keeps its
-bytes; only timing and peak-RSS fields of stage logs differ.
+worker process beside the caller: in build_report, every sparse row but
+composed; in benchmark_variants, a whole lane of stages and rows, streamed
+back as each is made. Every file a run writes keeps its bytes; only timing
+and peak-RSS fields of stage logs differ.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .vocab import Vocabulary, tokenize
 
 __all__ = [
     "DEFAULT_CUTOFF", "encode_queries", "sparse_run", "bm25_run",
-    "sparse_method", "bm25_method", "build_report", "adaptation_report",
+    "sparse_method", "bm25_method", "build_report",
     "run_experiment", "benchmark_variants", "sweep_k", "format_sweep_table",
 ]
 
@@ -89,47 +91,45 @@ def bm25_method(name: str, dataset: Dataset, vocab: Vocabulary,
 
 
 def build_report(named_weights: dict[str, EncoderWeights], target: Dataset, vocab: Vocabulary,
-                 cutoff: int = DEFAULT_CUTOFF, dataset_name: str = "target",
-                 metadata: dict | None = None, primary: str = "composed",
+                 cutoff: int = DEFAULT_CUTOFF, metadata: dict | None = None,
                  workdir: str | Path | None = None) -> EvalReport:
-    """Evaluate BM25 plus each named encoder on the target queries. The
-    primary method is significance-tested against every other row. With a
-    workdir, indexes, run files, report.json, and report.txt are persisted."""
-    if primary not in named_weights:
-        raise ValueError(f"primary method {primary!r} has no weights")
+    """Evaluate BM25 plus each named encoder on the target queries, through
+    _finish_report. named_weights must hold a "composed" encoder."""
+    if "composed" not in named_weights:
+        raise ValueError("build_report needs the 'composed' weights")
 
     # Rows read nothing of each other. A forked worker builds every sparse
-    # row but the primary and sends back (result, runs); the caller builds
-    # bm25 and the primary row, whose index it saves.
+    # row but composed and sends back (result, runs); the caller builds
+    # bm25 and the composed row, whose index it saves.
     def other_rows():
         yield {name: sparse_method(name, weights, target, vocab, cutoff)[:2]
-               for name, weights in named_weights.items() if name != primary}
+               for name, weights in named_weights.items() if name != "composed"}
 
     with forked(other_rows()) as forked_rows:
         bm25 = bm25_method("bm25", target, vocab, cutoff)
-        primary_res, primary_runs, primary_index = sparse_method(
-            primary, named_weights[primary], target, vocab, cutoff)
+        res, runs, composed_index = sparse_method(
+            "composed", named_weights["composed"], target, vocab, cutoff)
         rows = forked_rows()
-    rows[primary] = (primary_res, primary_runs)
-    return _finish_report(bm25, {name: rows[name] for name in named_weights}, primary,
-                          primary_index, cutoff, dataset_name, metadata, workdir)
+    rows["composed"] = (res, runs)
+    return _finish_report(bm25, {name: rows[name] for name in named_weights}, composed_index,
+                          cutoff, metadata, workdir)
 
 
 def _finish_report(bm25: tuple[MethodResult, dict[str, RankedList], InvertedIndex],
-                   rows: dict[str, tuple[MethodResult, dict[str, RankedList]]], primary: str,
-                   primary_index: InvertedIndex, cutoff: int, dataset_name: str,
-                   metadata: dict | None, workdir: str | Path | None) -> EvalReport:
-    """The report of the bm25 row and the sparse rows, in rows' order, with
-    the primary row significance-tested against every other. With a
-    workdir, the run files, both indexes, report.json and report.txt are
+                   rows: dict[str, tuple[MethodResult, dict[str, RankedList]]],
+                   composed_index: InvertedIndex, cutoff: int, metadata: dict | None,
+                   workdir: str | Path | None) -> EvalReport:
+    """The report of both drivers: the bm25 row and the sparse rows, in
+    rows' order, with composed significance-tested against every other. With
+    a workdir, the run files, both indexes, report.json and report.txt are
     written."""
     bm25_res, bm25_runs, bm25_index = bm25
     methods = [bm25_res] + [res for res, _ in rows.values()]
-    report = EvalReport(dataset=dataset_name, cutoff=cutoff, metric_depth=10,
+    report = EvalReport(dataset="target", cutoff=cutoff, metric_depth=10,
                         methods=methods, metadata=metadata or {})
     for m in methods:
-        if m.name != primary:
-            report.add_significance(primary, m.name)
+        if m.name != "composed":
+            report.add_significance("composed", m.name)
 
     if workdir is not None:
         workdir = Path(workdir)
@@ -139,36 +139,29 @@ def _finish_report(bm25: tuple[MethodResult, dict[str, RankedList], InvertedInde
         for tag, runs in all_runs.items():
             write_run(runs, runs_dir / f"{tag}.trec", tag=tag)
         save_index(bm25_index, workdir / "indexes" / "target_frequency")
-        save_index(primary_index, workdir / "indexes" / f"target_impact_{primary}")
+        save_index(composed_index, workdir / "indexes" / "target_impact_composed")
         (workdir / "report.json").write_text(report.to_json(), encoding="utf-8")
         (workdir / "report.txt").write_text(report.format_table(), encoding="utf-8")
     return report
 
 
-def adaptation_report(checkpoints: dict[str, Checkpoint], target: Dataset, vocab: Vocabulary,
-                      cutoff: int = DEFAULT_CUTOFF, dataset_name: str = "target",
-                      metadata: dict | None = None,
-                      workdir: str | Path | None = None) -> EvalReport:
-    """Standard three-row report: bm25, zeroshot (the source fine-tune as-is),
-    composed (target-domain subset under that fine-tune's task subset)."""
-    named = {
-        "zeroshot": checkpoints["finetune_source"].weights,
-        "composed": checkpoints["composed"].weights,
-    }
-    return build_report(named, target, vocab, cutoff=cutoff, dataset_name=dataset_name,
-                        metadata=metadata, workdir=workdir)
+def _metadata(spec: PipelineSpec) -> dict:
+    """The run settings a report records."""
+    return {"mode": spec.mode, "seed": spec.seed, "k": spec.model.k_domain_layers,
+            "pretrain_steps": spec.pretrain_steps, "finetune_steps": spec.finetune_steps}
 
 
 def run_experiment(spec: PipelineSpec, source: Dataset, target: Dataset, vocab: Vocabulary,
                    cutoff: int = DEFAULT_CUTOFF,
                    workdir: str | Path | None = None) -> tuple[dict[str, Checkpoint], EvalReport]:
-    """Full train-compose-evaluate pass in the selected mode."""
+    """Full train-compose-evaluate pass in the selected mode, reported in the
+    module docstring's three rows."""
     checkpoints = run_pipeline(spec, source.docs, target.docs, source.triples, vocab,
                                workdir=workdir)
-    metadata = {"mode": spec.mode, "seed": spec.seed, "k": spec.model.k_domain_layers,
-                "pretrain_steps": spec.pretrain_steps, "finetune_steps": spec.finetune_steps}
-    report = adaptation_report(checkpoints, target, vocab, cutoff=cutoff,
-                               metadata=metadata, workdir=workdir)
+    named = {"zeroshot": checkpoints["finetune_source"].weights,
+             "composed": checkpoints["composed"].weights}
+    report = build_report(named, target, vocab, cutoff=cutoff, metadata=_metadata(spec),
+                          workdir=workdir)
     for line in report.format_table().splitlines():
         log.info("%s", line)
     return checkpoints, report
@@ -217,14 +210,14 @@ def benchmark_variants(spec: PipelineSpec, source: Dataset, target: Dataset, voc
         bm25 = bm25_method("bm25", target, vocab, cutoff)
         pretrained_target = from_worker()
         composed = compose(pretrained_target, finetuned)
-        primary_res, primary_runs, primary_index = sparse_method(
+        res, runs, composed_index = sparse_method(
             "composed", composed.weights, target, vocab, cutoff)
         c_base = from_worker()
         wo_source = from_worker()
         wo_source_row = from_worker()
         wo_pretraining_row = from_worker()
 
-    rows = {"zeroshot": zeroshot, "composed": (primary_res, primary_runs),
+    rows = {"zeroshot": zeroshot, "composed": (res, runs),
             "wo_source": wo_source_row, "wo_pretraining": wo_pretraining_row}
 
     checkpoints = {"base": stages.base, "pretrain_source": pretrained_source,
@@ -233,10 +226,8 @@ def benchmark_variants(spec: PipelineSpec, source: Dataset, target: Dataset, voc
     stages.save("checkpoints", checkpoints)
     variants = {"finetune_from_base": c_base, "wo_source": wo_source}
     stages.save("variants", variants)
-    metadata = {"mode": "full+variants", "seed": spec.seed, "k": spec.model.k_domain_layers,
-                "pretrain_steps": spec.pretrain_steps, "finetune_steps": spec.finetune_steps}
-    report = _finish_report(bm25, rows, "composed", primary_index, cutoff, "target", metadata,
-                            workdir)
+    report = _finish_report(bm25, rows, composed_index, cutoff,
+                            _metadata(spec) | {"mode": "full+variants"}, workdir)
     return checkpoints | variants, report
 
 

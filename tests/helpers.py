@@ -1,8 +1,10 @@
 """Test-only helpers: finite-difference gradients, per-tensor checksums, the
-byte comparison that audits frozen tensors, and a full-sort top-k reference."""
+byte comparison that audits frozen tensors, a full-sort top-k reference, and
+a field-by-field report.json writer."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -10,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from spladapt.autodiff import Tensor
+from spladapt.evaluation import EvalReport
 from spladapt.index import InvertedIndex, RankedList
 from spladapt.model import EncoderWeights
 from spladapt.params import _tensor_bytes, fnv1a64
@@ -83,3 +86,28 @@ def reference_top_k(index: InvertedIndex, matrix: sp.csr_array, tids: np.ndarray
     top = cand[np.lexsort((cand, -scores[cand]))[:cutoff]]
     return RankedList(query_id=query_id,
                       entries=[(index.doc_ids[i], float(scores[i])) for i in top.tolist()])
+
+
+def reference_report_json(report: EvalReport) -> str:
+    """report.json as EvalReport.to_json wrote it field by field, each
+    significance test with its significant flag."""
+    payload = {
+        "dataset": report.dataset,
+        "cutoff": report.cutoff,
+        "metric_depth": report.metric_depth,
+        "methods": [{
+            "name": m.name,
+            "ndcg10": m.ndcg10,
+            "mrr10": m.mrr10,
+            "per_query_ndcg": m.per_query_ndcg,
+            "per_query_mrr": m.per_query_mrr,
+            "doc_sparsity": m.doc_sparsity,
+            "query_sparsity": m.query_sparsity,
+        } for m in report.methods],
+        "significance": [{
+            "method": s.method, "baseline": s.baseline, "metric": s.metric,
+            "t": s.t, "p": s.p, "alpha": s.alpha, "significant": s.significant,
+        } for s in report.significance],
+        "metadata": report.metadata,
+    }
+    return json.dumps(payload, indent=1)

@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, stage commands, reports, errors."""
 
 import json
+import shutil
 
 import pytest
 
@@ -206,6 +207,64 @@ class TestStagewise:
         assert not (tmp_path / "checkpoints" / "pretrain_target").exists()
         assert main(["pretrain", "--config", config_path, "--workdir", w,
                      "--stage", "pretrain_target", "--seed", "3"]) == 0
+
+    def test_an_input_stage_of_another_seed_is_refused(self, config_path, tmp_path, capsys):
+        # pretrain_source descends from the seed-3 base: fine-tuning it at seed 4
+        # would pair it with seed 4's stage generator
+        w = str(tmp_path)
+        for stage in ("pretrain_source", "pretrain_target"):
+            assert main(["pretrain", "--config", config_path, "--workdir", w,
+                         "--stage", stage]) == 0
+        capsys.readouterr()
+        assert main(["finetune", "--config", config_path, "--workdir", w, "--seed", "4"]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "checkpoints" / "pretrain_source" / "manifest.json") in err
+        assert "'parents'" in err and "seed 4" in err
+        assert not (tmp_path / "checkpoints" / "finetune_source").exists()
+        assert main(["finetune", "--config", config_path, "--workdir", w]) == 0
+        capsys.readouterr()
+        assert main(["compose", "--config", config_path, "--workdir", w, "--seed", "4"]) == 1
+        assert "'parents'" in capsys.readouterr().err
+        # a pretrain_source re-run at seed 4 breaks finetune_source's lineage
+        assert main(["pretrain", "--config", config_path, "--workdir", str(tmp_path / "w4"),
+                     "--stage", "pretrain_source", "--seed", "4"]) == 0
+        shutil.copytree(tmp_path / "w4" / "checkpoints" / "pretrain_source",
+                        tmp_path / "checkpoints" / "pretrain_source", dirs_exist_ok=True)
+        capsys.readouterr()
+        assert main(["compose", "--config", config_path, "--workdir", w]) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "checkpoints" / "finetune_source" / "manifest.json") in err
+        assert not (tmp_path / "checkpoints" / "composed").exists()
+
+    def test_an_input_stage_of_another_config_is_refused(self, config_path, tmp_path, capsys):
+        w = str(tmp_path)
+        for command in (["pretrain", "--stage", "pretrain_source"],
+                        ["pretrain", "--stage", "pretrain_target"], ["finetune"]):
+            assert main([*command, "--config", config_path, "--workdir", w]) == 0
+        capsys.readouterr()
+        for command, stage in ((["compose"], "finetune_source"),
+                               (["finetune"], "pretrain_source")):
+            assert main([*command, "--config", config_path, "--workdir", w, "--k", "0"]) == 1
+            err = capsys.readouterr().err
+            assert str(tmp_path / "checkpoints" / stage / "manifest.json") in err
+            assert "'config'" in err
+        manifest = tmp_path / "checkpoints" / "pretrain_target" / "manifest.json"
+        text = manifest.read_text()
+        obj = json.loads(text)
+        del obj["parents"][0]["checksum"]
+        manifest.write_text(json.dumps(obj))
+        assert main(["compose", "--config", config_path, "--workdir", w]) == 1
+        assert f"{manifest}: parents[0]: missing field 'checksum'" in capsys.readouterr().err
+        manifest.write_text(text)
+        assert not (tmp_path / "checkpoints" / "composed").exists()
+        assert main(["compose", "--config", config_path, "--workdir", w]) == 0
+        # a stage directory holding another stage's checkpoint
+        ckpts = tmp_path / "checkpoints"
+        shutil.copytree(ckpts / "pretrain_target", ckpts / "pretrain_source", dirs_exist_ok=True)
+        capsys.readouterr()
+        assert main(["finetune", "--config", config_path, "--workdir", w]) == 1
+        err = capsys.readouterr().err
+        assert f"{ckpts / 'pretrain_source' / 'manifest.json'}: field 'stage'" in err
 
     def test_compose_without_finetune_names_the_missing_stage(self, config_path, tmp_path,
                                                               capsys):

@@ -19,6 +19,8 @@ from spladapt.evaluation import (
 from spladapt.index import RankedList
 from spladapt.model import SparseVector
 
+from helpers import reference_report_json
+
 
 # reference implementations (second route)
 
@@ -274,6 +276,30 @@ def test_report_json_round_trip():
     assert loaded.metadata == {"seed": 7}
     table = loaded.format_table()
     assert "good" in table and "nDCG@10" in table and "12.5" in table
+
+
+def pinned_reports() -> dict[str, EvalReport]:
+    plain = make_report()
+    full = make_report()
+    full.methods.append(MethodResult(
+        "mid", 0.75, 0.5, per_query_ndcg={"q1": 1.0, "q2": 0.5},
+        per_query_mrr={"q1": 1.0, "q2": 0.0},
+        doc_sparsity={"mean_l0": 12.5, "median_l0": 12.0, "max_l0": 20.0},
+        query_sparsity={"mean_l0": 3.0, "median_l0": 3.0, "max_l0": 4.0}))
+    full.add_significance("good", "bad")
+    full.add_significance("mid", "bad")
+    full.metadata.update(mode="full", seed=7, k=1)
+    return {"plain": plain, "full": full}
+
+
+@pytest.mark.parametrize("name", ["plain", "full"])
+def test_report_json_keeps_the_field_by_field_bytes(name):
+    report = pinned_reports()[name]
+    if name == "full":  # one infinite t, one finite; sparsity on one row only
+        assert [math.isinf(s.t) for s in report.significance] == [True, False]
+    text = report.to_json()
+    assert text == reference_report_json(report)
+    assert EvalReport.from_json(text) == report
 
 
 def test_report_significance_requires_shared_queries():
