@@ -28,14 +28,16 @@ from .evaluation import (
 )
 from .index import (
     InvertedIndex, RankedList, build_frequency_index, encode_corpus,
-    index_from_vectors, retrieve_bm25, retrieve_sparse, save_index,
+    index_from_vectors, retrieve_bm25, retrieve_sparse_batch, save_index,
 )
 from .model import EncoderWeights, SparseVector
 from .params import Checkpoint, compose
 from .training import PipelineSpec, _Stages, run_pipeline
 
-# Stages save and fine-tune through training._Stages. These two names stay
-# importable from here because bench/tracing.py patches them in this module.
+# Stages save and fine-tune through training._Stages, and sparse_run scores
+# through retrieve_sparse_batch. These three names stay importable from here
+# because bench/tracing.py patches them in this module.
+from .index import retrieve_sparse  # noqa: F401,E402
 from .params import save_checkpoint  # noqa: F401,E402
 from .training import finetune_ir  # noqa: F401,E402
 from .vocab import Vocabulary, tokenize
@@ -59,8 +61,7 @@ def encode_queries(weights: EncoderWeights, queries: dict[str, str],
 
 def sparse_run(index: InvertedIndex, query_vecs: dict[str, SparseVector],
                cutoff: int) -> dict[str, RankedList]:
-    return {qid: retrieve_sparse(index, vec, cutoff, query_id=qid)
-            for qid, vec in query_vecs.items()}
+    return retrieve_sparse_batch(index, query_vecs, cutoff)
 
 
 def bm25_run(index: InvertedIndex, queries: dict[str, str], vocab: Vocabulary,

@@ -27,7 +27,8 @@ postings.bin is the matrix's own CSR arrays, little-endian, one row per
 docstore doc in order: row pointers (n_docs + 1 uint32, from 0), then term
 ids (nnz uint32, strictly ascending within a doc), then weights (nnz
 float32, finite and positive), nnz being the last row pointer. meta.json
-(schema 3) holds the blake2b-64 checksums of both payloads.
+(schema 4) holds the checksums (params.fnv1a64: SHA-256, 16 hex digits) of
+both payloads, each hashed once on save and once on load.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "INDEX_KINDS", "BM25_K1", "BM25_B",
     "InvertedIndex", "build_impact_index", "build_frequency_index",
     "save_index", "load_index",
-    "RankedList", "retrieve_sparse", "retrieve_bm25", "bm25_idf",
+    "RankedList", "retrieve_sparse", "retrieve_sparse_batch", "retrieve_bm25", "bm25_idf",
     "encode_corpus",
 ]
 
@@ -61,7 +62,8 @@ INDEX_KINDS = ("impact", "frequency")
 BM25_K1 = 0.9
 BM25_B = 0.4
 
-_META_SCHEMA = 3
+_META_SCHEMA = 4
+_QUERY_BLOCK = 128  # queries per sparse product: bounds its dense operands
 
 
 @dataclass
@@ -216,8 +218,16 @@ def _top_k(index: InvertedIndex, matrix: sp.csr_array, tids: np.ndarray, vals: n
            cutoff: int, query_id: str) -> RankedList:
     """Exact top-k of one sparse product: each doc scores the inner product
     of its matrix row with the query, distinct term ids tids weighted by vals
-    (ids past the last column match nothing). Only nonzero scores rank; ties
-    break by ascending doc id, which is ascending row.
+    (ids past the last column match nothing)."""
+    q = np.zeros(matrix.shape[1])
+    keep = tids < len(q)
+    q[tids[keep]] = vals[keep]
+    return _ranked(index.doc_ids, matrix @ q, cutoff, query_id)
+
+
+def _ranked(doc_ids: list[str], scores: np.ndarray, cutoff: int, query_id: str) -> RankedList:
+    """The cutoff best docs by scores, one per matrix row. Only nonzero
+    scores rank; ties break by ascending doc id, which is ascending row.
 
     When more docs score than cutoff, only those scoring at least the
     cutoff-th best score are sorted, found with np.partition; every doc tied
@@ -225,16 +235,11 @@ def _top_k(index: InvertedIndex, matrix: sp.csr_array, tids: np.ndarray, vals: n
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    q = np.zeros(matrix.shape[1])
-    keep = tids < len(q)
-    q[tids[keep]] = vals[keep]
-    scores = matrix @ q
     cand = scores.nonzero()[0]
     if len(cand) > cutoff:  # >= keeps every tie with the cutoff-th best score
         best = scores[cand]
         cand = cand[best >= np.partition(best, -cutoff)[-cutoff]]
     top = cand[np.lexsort((cand, -scores[cand]))[:cutoff]]
-    doc_ids = index.doc_ids
     return RankedList(query_id=query_id,
                       entries=list(zip([doc_ids[i] for i in top.tolist()], scores[top].tolist())))
 
@@ -245,6 +250,25 @@ def retrieve_sparse(index: InvertedIndex, query: SparseVector, cutoff: int,
     if index.kind != "impact":
         raise ValueError(f"sparse retrieval needs an impact index, got {index.kind!r}")
     return _top_k(index, index.matrix, query.tids, query.vals, cutoff, query_id)
+
+
+def retrieve_sparse_batch(index: InvertedIndex, queries: dict[str, SparseVector],
+                          cutoff: int) -> dict[str, RankedList]:
+    """retrieve_sparse for each query id -> vector, _QUERY_BLOCK queries to
+    one sparse product. scipy sums each score over a row's entries in the
+    same order for many columns as for one, so every list keeps its bytes."""
+    if index.kind != "impact":
+        raise ValueError(f"sparse retrieval needs an impact index, got {index.kind!r}")
+    items, out = list(queries.items()), {}
+    for lo in range(0, len(items), _QUERY_BLOCK):
+        block = items[lo: lo + _QUERY_BLOCK]
+        q = np.zeros((index.matrix.shape[1], len(block)))  # a column per query, as in _top_k
+        for j, (_, vec) in enumerate(block):
+            keep = vec.tids < len(q)
+            q[vec.tids[keep], j] = vec.vals[keep]
+        for (query_id, _), scores in zip(block, (index.matrix @ q).T):
+            out[query_id] = _ranked(index.doc_ids, scores, cutoff, query_id)
+    return out
 
 
 def bm25_idf(n_docs: int, df: int) -> float:
@@ -302,8 +326,8 @@ def load_index(path: str | Path) -> InvertedIndex:
     meta = _read_json(meta_path)
     if meta.get("schema_version") != _META_SCHEMA:
         raise ValueError(f"{meta_path}: schema_version {meta.get('schema_version')!r} is not "
-                         f"{_META_SCHEMA}; v1 used FNV-1a checksums and v2 term-major postings, "
-                         f"so rebuild the index (spladapt index)")
+                         f"{_META_SCHEMA}; v1 used FNV-1a checksums, v2 term-major postings and "
+                         f"v3 blake2b-64 checksums, so rebuild the index (spladapt index)")
     _require(meta, ("kind", "n_docs", "avgdl", "postings_checksum", "docstore_checksum"),
              str(meta_path))
     if meta["kind"] not in INDEX_KINDS:

@@ -8,9 +8,12 @@ checkpoint a well-defined operation.
 
 Checkpoint layout: a directory holding manifest.json and tensors.bin. The
 blob is every tensor's float32 little-endian row-major bytes concatenated in
-lexicographic name order; the manifest (schema 2) records per-tensor offsets
-and blake2b-64 checksums plus a whole-blob checksum and the parent provenance
-chain.
+lexicographic name order; the manifest (schema 3) records per-tensor offsets
+and checksums, the parent provenance chain, and blob_checksum: the checksum
+of the per-tensor checksums' hex digits, concatenated in manifest order. So
+saving, loading and Checkpoint.checksum() each hash a tensor's bytes once.
+A load also asks that the records tile the blob, which catches gaps,
+overlaps and trailing bytes that no per-tensor checksum covers.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
 ]
 
 STAGES = ("base", "pretrain_source", "pretrain_target", "finetune_source", "composed")
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class CorruptionError(RuntimeError):
@@ -43,15 +46,23 @@ class CorruptionError(RuntimeError):
 
 
 def fnv1a64(data: bytes | memoryview | np.ndarray) -> str:
-    """blake2b with an 8-byte digest of the bytes, as 16 hex digits.
+    """SHA-256 of the bytes, truncated to its first 16 hex digits (64 bits).
 
-    Schema 1 checkpoints and indexes used 64-bit FNV-1a here; the name stayed
-    because the benchmark's tracer (bench/tracing.py) wraps this attribute of
-    params and index by name to time every checksum.
+    Not FNV-1a: schema 1 checkpoints and indexes used 64-bit FNV-1a here and
+    schema 2 (indexes: 3) blake2b-64. SHA-256 runs on OpenSSL, which uses
+    the CPU's SHA extensions where it has them. The name stays because the
+    benchmark's tracer (bench/tracing.py) wraps this attribute of params and
+    index by name to time every checksum.
     """
     if isinstance(data, np.ndarray):
         data = np.ascontiguousarray(data)
-    return hashlib.blake2b(data, digest_size=8).hexdigest()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _root(checksums: list[str]) -> str:
+    """A checkpoint's blob_checksum: the checksum of its per-tensor
+    checksums, concatenated in manifest order."""
+    return fnv1a64("".join(checksums).encode("ascii"))
 
 
 # ---------------------------------------------------------------- partition
@@ -112,7 +123,8 @@ class Checkpoint:
         return self.weights.config
 
     def checksum(self) -> str:
-        return fnv1a64(b"".join(_tensor_bytes(self.weights).values()))
+        """The blob_checksum a save of these weights records."""
+        return _root([fnv1a64(raw) for raw in _tensor_bytes(self.weights).values()])
 
     def derive(self, stage: str, parents: list[dict]) -> "Checkpoint":
         """Deep-copied weights under a new stage tag."""
@@ -122,15 +134,15 @@ class Checkpoint:
         return {"stage": self.stage, "checksum": self.checksum()}
 
 
-def _tensor_bytes(weights: EncoderWeights) -> dict[str, bytes]:
-    """Each tensor's float32 little-endian row-major bytes, in lexicographic
-    name order: the blob is their concatenation."""
+def _tensor_bytes(weights: EncoderWeights) -> dict[str, memoryview]:
+    """A flat view of each tensor's float32 little-endian row-major bytes,
+    in lexicographic name order: the blob is their concatenation."""
     out = {}
     for name in sorted(weights.tensors):
         data = weights.tensors[name].data
         if data.dtype != np.float32:
             raise ValueError(f"checkpoints store float32 tensors; {name} is {data.dtype}")
-        out[name] = np.ascontiguousarray(data, dtype="<f4").tobytes()
+        out[name] = memoryview(np.ascontiguousarray(data, dtype="<f4")).cast("B")
     return out
 
 
@@ -178,7 +190,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> Path:
         "stage": ckpt.stage,
         "config": ckpt.config.to_dict(),
         "tensors": records,
-        "blob_checksum": fnv1a64(blob),
+        "blob_checksum": _root([rec["checksum"] for rec in records]),
         "parents": ckpt.parents,
     }
     _write_atomic(path / "tensors.bin", blob)
@@ -187,8 +199,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and verify a checkpoint directory; any checksum mismatch raises
-    CorruptionError naming the offending tensor."""
+    """Read and verify a checkpoint directory; a tensor whose bytes do not
+    match its checksum, or a record that does not start where the previous
+    one ends, raises CorruptionError naming the tensor."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     blob_path = path / "tensors.bin"
@@ -197,8 +210,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     manifest = _read_json(manifest_path)
     if manifest.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"{manifest_path}: schema_version {manifest.get('schema_version')!r} is "
-                         f"not {SCHEMA_VERSION}; v1 used FNV-1a checksums, so re-save the "
-                         f"checkpoint by re-running the stage that wrote it")
+                         f"not {SCHEMA_VERSION}; v1 used FNV-1a checksums and v2 a blake2b-64 "
+                         f"whole-blob checksum, so re-save the checkpoint by re-running the "
+                         f"stage that wrote it")
     _require(manifest, ("stage", "config", "tensors", "blob_checksum"), str(manifest_path))
     try:
         config = ModelConfig.from_dict(manifest["config"])
@@ -208,6 +222,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     view = memoryview(blob)  # tensor slices without copying their bytes
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
+    checksums, offset = [], 0
     for i, rec in enumerate(manifest["tensors"]):
         _require(rec, ("name", "shape", "offset", "nbytes", "checksum"),
                  f"{manifest_path}: tensors[{i}]")
@@ -219,15 +234,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise ValueError(f"{manifest_path}: tensor {name} field 'shape' {rec['shape']} / "
                              f"'nbytes' {rec['nbytes']}; the config needs {shape} in "
                              f"{4 * math.prod(shape)} bytes")
-        raw = view[rec["offset"]: rec["offset"] + rec["nbytes"]]
+        if rec["offset"] != offset:  # the records tile the blob, in order
+            raise CorruptionError(f"{blob_path}: tensor {name} field 'offset' is "
+                                  f"{rec['offset']!r}, but the records before it end at {offset}")
+        raw = view[offset: offset + rec["nbytes"]]
         if len(raw) != rec["nbytes"]:
             raise CorruptionError(f"{path}: tensor {name} extends past the end of tensors.bin")
         if fnv1a64(raw) != rec["checksum"]:
-            raise CorruptionError(f"{path}: tensor {name} bytes do not match manifest checksum")
+            raise CorruptionError(f"{blob_path}: tensor {name} bytes do not match its field "
+                                  f"'checksum' in manifest.json")
+        checksums.append(rec["checksum"])
+        offset += len(raw)
         data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         tensors[name] = Tensor(data, requires_grad=True)
-    if fnv1a64(blob) != manifest["blob_checksum"]:
-        raise CorruptionError(f"{path}: tensors.bin does not match its manifest blob checksum")
+    if offset != len(blob):
+        raise CorruptionError(f"{blob_path}: {len(blob) - offset} bytes follow the last tensor's "
+                              f"record, which ends at offset {offset}")
+    if _root(checksums) != manifest["blob_checksum"]:
+        raise CorruptionError(f"{manifest_path}: field 'blob_checksum' is not the checksum of "
+                              f"the tensor checksums")
     try:  # validates completeness and the stage tag
         return Checkpoint(EncoderWeights(config, tensors), stage=manifest["stage"],
                           parents=manifest.get("parents", []))

@@ -15,7 +15,7 @@ from spladapt import index as index_module
 from spladapt.index import (
     BM25_B, BM25_K1, bm25_idf, build_frequency_index,
     build_impact_index, encode_corpus, index_from_vectors, load_index,
-    retrieve_bm25, retrieve_sparse, save_index,
+    retrieve_bm25, retrieve_sparse, retrieve_sparse_batch, save_index,
 )
 from spladapt.experiment import encode_queries
 from spladapt.model import ModelConfig, SparseVector, encode_sparse_batch, init_weights
@@ -332,6 +332,26 @@ def test_random_corpora_match_brute_force():
             assert abs(a - b) < 1e-9
 
 
+def test_sparse_batch_keeps_each_querys_bytes():
+    # float weights whose sums round: one product for many queries adds each
+    # score's terms in the order one query's product does
+    rng = np.random.default_rng(7)
+    reps = {f"d{i:03d}": SparseVector({int(t): float(rng.uniform(0.01, 3.0))
+                                       for t in rng.choice(300, size=40, replace=False)})
+            for i in range(120)}
+    index = index_from_vectors(reps)
+    queries = {f"q{i}": SparseVector({int(t): float(rng.uniform(0.01, 2.0))
+                                      for t in rng.choice(320, size=int(rng.integers(0, 60)),
+                                                          replace=False)})
+               for i in range(300)}  # more than one block
+    got = retrieve_sparse_batch(index, queries, 50)
+    assert list(got) == list(queries)
+    for qid, q in queries.items():
+        assert got[qid] == retrieve_sparse(index, q, 50, query_id=qid)
+    with pytest.raises(ValueError, match="impact index"):
+        retrieve_sparse_batch(build_frequency_index({"a": "x"}, Vocabulary(["x"])), queries, 5)
+
+
 def test_top_k_entries_match_the_full_sort_under_heavy_ties():
     rng = np.random.default_rng(19)
     cut_ties = 0  # cases whose cutoff splits docs tied at the cutoff-th score
@@ -349,8 +369,10 @@ def test_top_k_entries_match_the_full_sort_under_heavy_ties():
             queries = [np.arange(0), np.arange(width, width + 3)]  # nothing to match, all past the end
             queries += [np.unique(rng.integers(0, width + 3, size=int(rng.integers(1, 6))))
                         for _ in range(3)]
-            for tids in queries:
+            batch = {}
+            for i, tids in enumerate(queries):
                 vals = rng.integers(1, 3, size=len(tids)).astype(np.float64)
+                batch[f"q{i}"] = SparseVector.from_arrays(tids, vals)
                 ranked = reference_top_k(index, matrix, tids, vals, n_docs, "").entries
                 n = len(ranked)
                 for cutoff in sorted({1, max(n - 1, 1), n + 1, int(rng.integers(1, n_docs + 1))}):
@@ -359,6 +381,12 @@ def test_top_k_entries_match_the_full_sort_under_heavy_ties():
                     assert got.query_id == "q" and got.entries == want.entries
                     assert all(type(d) is str and type(s) is float for d, s in got.entries)
                     cut_ties += cutoff < n and ranked[cutoff - 1][1] == ranked[cutoff][1]
+            if index is impact:  # all queries in one product rank as each does alone
+                cutoff = int(rng.integers(1, n_docs + 1))
+                got = retrieve_sparse_batch(index, batch, cutoff)
+                assert list(got) == list(batch)
+                for qid, q in batch.items():
+                    assert got[qid] == reference_top_k(index, matrix, q.tids, q.vals, cutoff, qid)
     assert cut_ties >= 50
 
 
@@ -538,7 +566,7 @@ def assert_saved_bytes(path, store, post):
     assert (path / "docstore.bin").read_bytes() == store
     assert (path / "postings.bin").read_bytes() == post
     meta = json.loads((path / "meta.json").read_text())
-    assert meta["schema_version"] == 3
+    assert meta["schema_version"] == 4
     assert meta["docstore_checksum"] == fnv1a64(store)
     assert meta["postings_checksum"] == fnv1a64(post)
     load_index(path)  # empty rows, inside or at the end, load too
@@ -570,7 +598,7 @@ def test_frequency_index_bytes_on_disk(tmp_path):
     assert_saved_bytes(tmp_path / "fidx", store, post)
 
 
-@pytest.mark.parametrize("schema", [1, 2])
+@pytest.mark.parametrize("schema", [1, 2, 3])
 def test_schema_1_index_rejected_with_remedy(tmp_path, schema):
     save_index(index_from_vectors({"a": SparseVector({1: 1.0})}), tmp_path / "idx")
     meta_path = tmp_path / "idx" / "meta.json"

@@ -27,17 +27,23 @@ def make_ckpt(seed=0, stage="base", cfg=CFG, parents=None):
 # ---------------------------------------------------------------- checksum
 
 
-def test_fnv1a64_is_blake2b_64_known_answers():
-    # fnv1a64 kept its name when schema 2 switched it to 8-byte-digest blake2b
-    assert fnv1a64(b"") == "e4a6a0577479b2b4"
-    assert fnv1a64(b"a") == "40f89e395b66422f"
-    assert fnv1a64(b"foobar") == "9d212f7f254a51f9"
+def sha256_16(data) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_fnv1a64_is_sha256_16_known_answers():
+    # fnv1a64 kept its name when checkpoint schema 3 and index schema 4
+    # switched it to SHA-256 truncated to 16 hex digits
+    for data, digest in ((b"", "e3b0c44298fc1c14"), (b"a", "ca978112ca1bbdca"),
+                         (b"foobar", "c3ab8ff13720e8ad")):
+        assert sha256_16(data) == digest
+        assert fnv1a64(data) == digest
 
 
 @given(st.binary(min_size=0, max_size=200))
 @settings(max_examples=50, deadline=None)
-def test_fnv1a64_matches_hashlib_blake2b(data):
-    assert fnv1a64(data) == hashlib.blake2b(data, digest_size=8).hexdigest()
+def test_fnv1a64_matches_hashlib_sha256(data):
+    assert fnv1a64(data) == sha256_16(data)
 
 
 def test_fnv1a64_accepts_arrays():
@@ -139,18 +145,80 @@ def test_truncated_blob_rejected(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def _shift_after(manifest, i, by):
+    """Move the records after tensors[i] by `by` bytes."""
+    for rec in manifest["tensors"][i + 1:]:
+        rec["offset"] += by
+
+
+def _gap(manifest, blob):
+    # 4 bytes between tensors[0] and tensors[1]; every checksum still holds
+    end = manifest["tensors"][0]["nbytes"]
+    _shift_after(manifest, 0, 4)
+    return blob[:end] + bytes(4) + blob[end:]
+
+
+def _overlap(manifest, blob):
+    # tensors[1] starts inside tensors[0] (make_ckpt makes the 4 bytes they
+    # share equal), so every checksum still holds
+    end = manifest["tensors"][0]["nbytes"]
+    _shift_after(manifest, 0, -4)
+    return blob[:end] + blob[end + 4:]
+
+
+def _trailing(manifest, blob):
+    return blob + bytes(8)
+
+
+def _zero_blob_checksum(manifest, blob):
+    manifest["blob_checksum"] = "0" * 16
+    return blob
+
+
+def _zero_tensor_checksum(manifest, blob):
+    manifest["tensors"][2]["checksum"] = "0" * 16
+    return blob
+
+
+@pytest.mark.parametrize("edit, file, named", [
+    (_gap, "tensors.bin", ("emb.token", "'offset'")),
+    (_overlap, "tensors.bin", ("emb.token", "'offset'")),
+    (_trailing, "tensors.bin", ("8 bytes follow the last tensor",)),
+    (_zero_blob_checksum, "manifest.json", ("'blob_checksum'",)),
+    (_zero_tensor_checksum, "tensors.bin", ("layer.0.attn.bk", "'checksum'")),
+], ids=["gap", "overlap", "trailing-bytes", "blob-checksum", "tensor-checksum"])
+def test_records_must_tile_the_blob_and_match_both_checksums(tmp_path, edit, file, named):
+    import json
+    ckpt = make_ckpt(seed=8)
+    ckpt.weights["emb.token"].data.flat[0] = ckpt.weights["emb.position"].data.flat[-1]
+    save_checkpoint(ckpt, tmp_path / "ck")
+    manifest_path, blob_path = tmp_path / "ck" / "manifest.json", tmp_path / "ck" / "tensors.bin"
+    manifest = json.loads(manifest_path.read_text())
+    assert [r["name"] for r in manifest["tensors"][:3]] == [
+        "emb.position", "emb.token", "layer.0.attn.bk"]
+    blob_path.write_bytes(edit(manifest, blob_path.read_bytes()))
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CorruptionError) as exc:
+        load_checkpoint(tmp_path / "ck")
+    msg = str(exc.value)
+    assert str(tmp_path / "ck" / file) in msg
+    for part in named:
+        assert part in msg
+
+
 def test_schema_1_checkpoint_rejected_with_remedy(tmp_path):
     import json
     save_checkpoint(make_ckpt(seed=4), tmp_path / "ck")
     manifest_path = tmp_path / "ck" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["schema_version"] = 1
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError) as exc:
-        load_checkpoint(tmp_path / "ck")
-    msg = str(exc.value)
-    assert str(manifest_path) in msg and "schema_version" in msg
-    assert "FNV-1a" in msg and "re-save the checkpoint" in msg
+    for schema in (1, 2):  # FNV-1a checksums; a blake2b-64 whole-blob checksum
+        manifest["schema_version"] = schema
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(tmp_path / "ck")
+        msg = str(exc.value)
+        assert str(manifest_path) in msg and "schema_version" in msg
+        assert "FNV-1a" in msg and "re-save the checkpoint by re-running the stage" in msg
 
 
 def _drop(key):
@@ -192,10 +260,42 @@ def test_checkpoint_checksum_is_the_blob_checksum(tmp_path):
     ckpt = make_ckpt(seed=5)
     save_checkpoint(ckpt, tmp_path / "ck")
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest["schema_version"] == 2
+    assert manifest["schema_version"] == 3
     assert ckpt.checksum() == manifest["blob_checksum"]
-    assert ckpt.checksum() == fnv1a64((tmp_path / "ck" / "tensors.bin").read_bytes())
+    # the checksum of the per-tensor checksums, in manifest order
+    blob = (tmp_path / "ck" / "tensors.bin").read_bytes()
+    digests = "".join(sha256_16(blob[r["offset"]: r["offset"] + r["nbytes"]])
+                      for r in manifest["tensors"])
+    assert ckpt.checksum() == sha256_16(digests.encode("ascii"))
     assert tensor_checksums(ckpt.weights) == {r["name"]: r["checksum"] for r in manifest["tensors"]}
+
+
+def test_each_tensor_byte_is_hashed_once(tmp_path, monkeypatch):
+    import json
+
+    import spladapt.params as params
+    ckpt = make_ckpt(seed=7)
+    hashed = []
+    real = params.fnv1a64
+
+    def counting(data):
+        hashed.append(memoryview(data).nbytes)
+        return real(data)
+
+    def hashed_by(fn):
+        hashed.clear()
+        fn()
+        return sorted(hashed)
+
+    monkeypatch.setattr(params, "fnv1a64", counting)
+    by_save = hashed_by(lambda: save_checkpoint(ckpt, tmp_path / "ck"))
+    records = json.loads((tmp_path / "ck" / "manifest.json").read_text())["tensors"]
+    assert sum(r["nbytes"] for r in records) == (tmp_path / "ck" / "tensors.bin").stat().st_size
+    # each tensor's bytes once, then the root over 16 hex digits per tensor
+    once = sorted([r["nbytes"] for r in records] + [16 * len(records)])
+    assert by_save == once
+    assert hashed_by(lambda: load_checkpoint(tmp_path / "ck")) == once
+    assert hashed_by(ckpt.checksum) == once
 
 
 def test_missing_checkpoint_dir(tmp_path):
