@@ -2,11 +2,11 @@
 
 The experiment has independent parts: the target pretrain reads no source
 stage, the fine-tune from base reads only the seeded base, and report rows
-read only their own encoder; so are the batches index.encode_corpus
-encodes. Each part is numpy-bound and owns its seeded generator (if any),
-so running one beside the caller changes no output byte: a
+read only their own encoder. Each part is numpy-bound and owns its seeded
+generator, so running one beside the caller changes no output byte: a
 forked child keeps the parent's BLAS thread count, and its results come
-back pickled, which preserves every array exactly.
+back pickled, which preserves every array exactly. (index.encode_corpus
+runs its batches on a helper thread instead, under the same fork_pays.)
 
 A worker runs one generator and hands back each value it yields as soon as
 it exists, so the caller can go on with the first result while the worker
@@ -35,7 +35,8 @@ def fork_pays() -> bool:
     """True when the "fork" start method exists, the caller runs no other
     Python thread, and the environment pins BLAS so that the caller, every
     live worker and one more each keep their threads busy without sharing
-    a core.
+    a core. The one more is a forked worker here, or the helper thread of
+    index.encode_corpus.
 
     Every one of BLAS_THREAD_VARS that is set must name a positive thread
     count n with (live workers + 2) * n <= cores, and at least one must be

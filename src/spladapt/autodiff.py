@@ -21,9 +21,12 @@ padding, tiled by blocks of (rows, S) pairs, each rows slice holding whole
 sequences of S positions. Both ops work on reshaped views of each block, so
 each sequence's arithmetic depends on that sequence alone.
 
-splade_pool fuses the whole SPLADE head. It computes the pooling argmax only
-while a tape records it (training), and its backward builds the logit
-gradient as a sparse matrix with one entry per (sequence, term).
+splade_pool fuses the whole SPLADE head. It projects a run of whole
+sequences at a time, so it never holds more than _POOL_ROWS rows of
+(rows, V) logits; each row's logits are the bytes of the whole-batch
+product. It computes the pooling argmax only while a tape records it
+(training), and its backward builds the logit gradient as a sparse matrix
+with one entry per (sequence, term).
 
 ranking_loss fuses the fine-tune loss: in-batch softmax cross entropy over
 the (3B, V) query/positive/negative batch plus its two FLOPS terms, with one
@@ -54,6 +57,7 @@ __all__ = [
 ]
 
 IGNORE_INDEX = -100
+_POOL_ROWS = 128  # rows of logits splade_pool holds at once: bounds its (rows, V) temporary
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -136,13 +140,15 @@ class GradTape:
             self._ops.clear()
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """True when an op on inputs records: a tape is active and an input requires grad."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _record(inputs: Sequence[Tensor], out: Tensor, backward_fn: Callable[[], None]) -> None:
-    tape = _active_tape()
-    if tape is None:
-        return
-    if any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
-        tape._ops.append(backward_fn)
+        _active_tape()._ops.append(backward_fn)
 
 
 def _accum(t: Tensor, g: np.ndarray, own: bool = True) -> None:
@@ -397,23 +403,29 @@ def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray,
                                         of h[r] . emb[v] + bias[v])).
 
     The gradient of the max goes to the first maximal content row. The
-    (n, V) logits are not kept; a sequence without content pools to 0, and
-    a NaN max stays NaN.
+    logits are made for runs of whole sequences of at most _POOL_ROWS rows
+    at a time and not kept; a sequence without content pools to 0, and a
+    NaN max stays NaN.
     """
     n, V, B = h.shape[0], emb.shape[0], len(order)
     if emb.shape[1] != h.shape[1] or bias.shape != (V,) or content.shape != (n,) or B != _n_seqs(n, blocks):
         raise ValueError(f"splade_pool: hidden {h.shape}, embeddings {emb.shape}, bias {bias.shape}, "
                          f"content {content.shape} and {B} sequences do not fit")
-    logits = h.data @ emb.data.T
-    logits += bias.data
-    logits[~content] = -np.inf
-    m = np.empty((B, V), dtype=logits.dtype)
-    per_block, j = [], 0  # its (c, S, V) logits, their maxima, output rows, first row, S
-    for rows, S in blocks:
-        blk = logits[rows].reshape(-1, S, V)
-        at, j = order[j: j + len(blk)], j + len(blk)
-        m[at] = blk_max = blk.max(axis=1)
-        per_block.append((blk, blk_max, at, rows.start, S))
+    recording = _recording((h, emb, bias))  # then backward needs the packed row of each max
+    m = np.empty((B, V), dtype=np.result_type(h.data, emb.data))
+    arg = np.empty((B, V), dtype=np.int64) if recording else None
+    j = 0
+    for lo, hi, pieces in _pool_runs(blocks):
+        logits = h.data[lo:hi] @ emb.data.T
+        logits += bias.data
+        logits[~content[lo:hi]] = -np.inf
+        for rows, S in pieces:
+            blk = logits[rows.start - lo: rows.stop - lo].reshape(-1, S, V)
+            at, j = order[j: j + len(blk)], j + len(blk)
+            m[at] = blk_max = blk.max(axis=1)
+            if recording:
+                first_rows = rows.start + S * np.arange(len(blk))
+                arg[at] = (blk == blk_max[:, None, :]).argmax(axis=1) + first_rows[:, None]
     pos = ~(m <= 0)  # true for NaN too
     relu = np.where(pos, m, 0)
     out = Tensor(np.log1p(relu))
@@ -433,12 +445,28 @@ def splade_pool(h: Tensor, emb: Tensor, bias: Tensor, content: np.ndarray,
             _accum(bias, dm.sum(axis=0))
 
     _record((h, emb, bias), out, backward)
-    if out.requires_grad:  # recorded: backward needs the packed row of each max
-        arg = np.empty(m.shape, dtype=np.int64)
-        for blk, blk_max, at, start, S in per_block:
-            first_rows = start + S * np.arange(len(blk))
-            arg[at] = (blk == blk_max[:, None, :]).argmax(axis=1) + first_rows[:, None]
     return out
+
+
+def _pool_runs(blocks: Sequence[tuple[slice, int]]):
+    """(lo, hi, pieces) for consecutive runs of whole sequences that tile the
+    rows of blocks in order, each run at most _POOL_ROWS rows (or one
+    sequence, if longer), pieces being the (rows, S) parts of the blocks it
+    covers. One run may span several blocks, so its product stays large."""
+    lo, pieces = 0, []
+    for rows, S in blocks:
+        start = rows.start
+        while start < rows.stop:
+            fit = (lo + _POOL_ROWS - start) // S  # sequences the run has room for
+            if fit < 1 and pieces:
+                yield lo, start, pieces
+                lo, pieces = start, []
+                continue
+            stop = min(rows.stop, start + S * max(fit, 1))
+            pieces.append((slice(start, stop), S))
+            start = stop
+    if pieces:
+        yield lo, pieces[-1][0].stop, pieces
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:

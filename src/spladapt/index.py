@@ -11,10 +11,11 @@ ascending doc id order, column t for term id t, concatenated from each doc's
                constants k1 = BM25_K1 = 0.9 and b = BM25_B = 0.4.
 
 encode_corpus sorts the docs with content tokens by length and batches
-them, so each batch packs into few length blocks; where a forked worker
-gets a core of its own (_fork.fork_pays), it encodes every other batch. A
-doc's vector does not depend on its batch-mates, since the encoder packs a
-batch without padding, so neither choice moves a byte.
+them, so each batch packs into few length blocks; where a second thread
+gets a core of its own (_fork.fork_pays), a helper thread encodes every
+other batch on the same read-only weights. A doc's vector does not depend
+on its batch-mates, since the encoder packs a batch without padding, nor
+on the thread that encodes it, so neither choice moves a byte.
 
 Ranking everywhere is (score descending, doc id ascending). Top-k is exact:
 every document with a nonzero score is considered, no approximation. Beyond
@@ -37,7 +38,7 @@ import json
 import math
 import struct
 from collections import Counter
-from contextlib import nullcontext
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from ._fork import forked
+from . import _fork
 from .model import EncoderWeights, SparseVector, encode_sparse_batch
 from .params import _read_json, _require, _write_atomic, fnv1a64
 from .vocab import N_SPECIALS, UNK_ID, Vocabulary, tokenize
@@ -144,9 +145,12 @@ def encode_corpus(weights: EncoderWeights, docs: dict[str, str], vocab: Vocabula
     The docs with content tokens are stably sorted by length and cut into
     the fewest batches of at most batch_size, equal in size to within one
     doc, so a batch packs into few length blocks. Where _fork.fork_pays(),
-    a forked worker encodes every other batch while the caller encodes the
-    rest; one batch runs inline. A doc encodes to the same bytes in any
-    batch, so the vectors do not depend on either choice.
+    one helper thread encodes every other batch while the caller encodes
+    the rest: numpy, erf and a BLAS pinned to its cores release the GIL.
+    One batch runs inline, and the helper is joined before the call
+    returns or raises; an error in its share reaches the caller as it was
+    raised. A doc encodes to the same bytes in any batch, so the vectors do
+    not depend on either choice.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -156,10 +160,19 @@ def encode_corpus(weights: EncoderWeights, docs: dict[str, str], vocab: Vocabula
                    key=lambda item: len(item[1]))
     n = -(-len(items) // batch_size)  # the fewest batches of at most batch_size
     batches = [items[len(items) * i // n: len(items) * (i + 1) // n] for i in range(n)]
-    share = (_encode_batch(weights, batch) for batch in batches[1::2])
-    with forked(share) if len(batches) > 1 else nullcontext() as from_worker:
-        for i, batch in enumerate(batches):
-            reps.update(from_worker() if i % 2 else _encode_batch(weights, batch))
+    if len(batches) < 2 or not _fork.fork_pays():
+        for batch in batches:
+            reps.update(_encode_batch(weights, batch))
+    else:
+        helper = ThreadPoolExecutor(1)
+        try:
+            shares = [helper.submit(_encode_batch, weights, batch) for batch in batches[1::2]]
+            for batch in batches[::2]:
+                reps.update(_encode_batch(weights, batch))
+            for share in shares:
+                reps.update(share.result())
+        finally:  # joins the helper, after the batch it is on if the caller failed
+            helper.shutdown(cancel_futures=True)
     bad = next((doc_id for doc_id, vec in reps.items() if vec is None), None)
     if bad is not None:
         raise ValueError(f"encoder row of {bad!r} holds a non-finite weight")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -218,8 +219,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config = ModelConfig.from_dict(manifest["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: field 'config': {exc}") from None
-    blob = blob_path.read_bytes()
-    view = memoryview(blob)  # tensor slices without copying their bytes
+    with open(blob_path, "rb") as fh:  # one writable buffer, which the tensors view
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
+    view = memoryview(blob)
     expected = parameter_shapes(config)
     tensors: dict[str, Tensor] = {}
     checksums, offset = [], 0
@@ -245,7 +248,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                                   f"'checksum' in manifest.json")
         checksums.append(rec["checksum"])
         offset += len(raw)
-        data = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        data = np.frombuffer(raw, dtype="<f4").reshape(shape)
         tensors[name] = Tensor(data, requires_grad=True)
     if offset != len(blob):
         raise CorruptionError(f"{blob_path}: {len(blob) - offset} bytes follow the last tensor's "

@@ -203,6 +203,49 @@ def test_splade_pool_records_only_under_a_tape():
         assert len(tape) == 0 and not out.requires_grad
 
 
+def test_splade_pool_in_row_runs_keeps_every_byte_of_the_whole_batch(monkeypatch):
+    """With runs of at most 7 rows, the 4-sequence block of 2 positions spans
+    two runs, the run after it spans two blocks, and the 9-position sequence
+    is a run of its own. The output matches a plain numpy head over the
+    whole batch's logits, and each gradient the unchunked op's bytes; a
+    repeated row ties a maximum, and one sequence has no content."""
+    rng = np.random.default_rng(27)
+    blocks = [(slice(0, 8), 2), (slice(8, 17), 3), (slice(17, 27), 5), (slice(27, 36), 9)]
+    order = [5, 0, 9, 2, 7, 1, 3, 8, 6, 4]
+    h, emb, bias = (rng.standard_normal(shape).astype(np.float32) for shape in ((36, 8), (50, 8), (50,)))
+    h[19] = h[18]
+    content = rng.random(36) < 0.8
+    content[[0, 8, 17, 18, 19, 27]] = True
+    content[11:14] = False
+
+    full = h @ emb.T
+    full += bias
+    full[~content] = -np.inf
+    expected, j = np.empty((10, 50), np.float32), 0
+    for rows, S in blocks:
+        for lo in range(rows.start, rows.stop, S):
+            expected[order[j]] = np.log1p(np.maximum(full[lo: lo + S].max(axis=0), 0))
+            j += 1
+    assert (expected[order[5]] == 0).all() and (expected > 0).any()
+
+    def pooled(limit):
+        monkeypatch.setattr(ad, "_POOL_ROWS", limit)
+        assert ad.splade_pool(Tensor(h), Tensor(emb), Tensor(bias), content, blocks,
+                              order).data.tobytes() == expected.tobytes()
+        params = [Tensor(x.copy(), requires_grad=True) for x in (h, emb, bias)]
+        with GradTape() as tape:
+            out = ad.splade_pool(*params, content, blocks, order)
+            assert out.data.tobytes() == expected.tobytes()
+            tape.backward(ad.softmax_cross_entropy(out, np.arange(10) * 5))
+        return [p.grad.tobytes() for p in params]
+
+    assert pooled(7) == pooled(36)
+    monkeypatch.setattr(ad, "_POOL_ROWS", 7)
+    runs = [(lo, hi, [(p.start, p.stop) for p, _ in pieces]) for lo, hi, pieces in ad._pool_runs(blocks)]
+    assert runs == [(0, 6, [(0, 6)]), (6, 11, [(6, 8), (8, 11)]), (11, 17, [(11, 17)]),
+                    (17, 22, [(17, 22)]), (22, 27, [(22, 27)]), (27, 36, [(27, 36)])]
+
+
 def test_mlm_head_refuses_mismatched_shapes():
     # the rows are the caller's to check (mlm_logits); the shapes are the op's
     h, rows = t64(np.zeros((3, 2))), np.array([0, 2])

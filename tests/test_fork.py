@@ -83,27 +83,31 @@ def test_a_forked_block_nested_in_another_forks_only_with_a_core_for_it(monkeypa
     no_worker_left()
 
 
-def test_encode_corpus_forks_only_where_a_core_is_free(monkeypatch, tmp_path):
-    """Pinned to 1 BLAS thread on 2 cores, encode_corpus forks a worker when
-    it runs alone, but neither beside a live worker nor inside one, whose
-    sender thread is running: so the experiment's rows stay inline."""
+def test_encode_corpus_starts_a_helper_only_where_a_core_is_free(monkeypatch, tmp_path):
+    """Pinned to 1 BLAS thread on 2 cores, encode_corpus encodes on a helper
+    thread beside the caller when it runs alone, but neither beside a live
+    worker nor inside one, whose sender thread is running: so the
+    experiment's rows stay inline. The log holds, for each batch, the
+    process that encoded it and whether its main thread did."""
     pin(monkeypatch, 2, OPENBLAS_NUM_THREADS="1")
-    log, fork = tmp_path / "forks", os.fork
+    log, encode = tmp_path / "batches", index.encode_sparse_batch
 
-    def logged_fork():  # the worker inherits the patch, so its forks are logged too
+    def logged_encode(w, seqs):  # the worker inherits the patch, so its batches are logged too
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return fork()
-    monkeypatch.setattr(os, "fork", logged_fork)
+            fh.write(f"{os.getpid()} {threading.current_thread() is threading.main_thread()}\n")
+        return encode(w, seqs)
+    monkeypatch.setattr(index, "encode_sparse_batch", logged_encode)
     spec, source, target, vocab = tiny_benchmark()
     weights = init_weights(spec.model, seed=0)
     caller = os.getpid()
 
-    def forks():
-        return log.read_text().split() if log.exists() else []
+    def encoders():
+        encoded = set(log.read_text().splitlines())
+        log.unlink()
+        return encoded
 
     alone = index.encode_corpus(weights, target.docs, vocab, batch_size=8)
-    assert forks() == [str(caller)]
+    assert encoders() == {f"{caller} True", f"{caller} False"}
     no_worker_left()
 
     def lane():
@@ -111,11 +115,12 @@ def test_encode_corpus_forks_only_where_a_core_is_free(monkeypatch, tmp_path):
         time.sleep(60)  # alive while the caller encodes
         yield None
 
-    log.unlink()
     with _fork.forked(lane()) as from_worker:
         in_worker = from_worker()
+        (worker_line,) = encoders()
         beside = index.encode_corpus(weights, target.docs, vocab, batch_size=8)
-    assert forks() == [str(caller)]  # the lane's own worker, and nothing else
+    assert worker_line.endswith(" True") and not worker_line.startswith(f"{caller} ")
+    assert encoders() == {f"{caller} True"}
     no_worker_left()
     for reps in (in_worker, beside):
         assert list(reps) == list(alone)

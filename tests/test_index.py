@@ -4,8 +4,9 @@ and serialization round trips."""
 import json
 import math
 import multiprocessing
-import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -174,21 +175,21 @@ def test_encode_corpus_refuses_non_finite_encoder_rows_naming_the_text(bad):
         encode_queries(weights, {"q9": "w4"}, vocab)
 
 
-# ---------------------------------------------------------------- encode_corpus's worker
+# ---------------------------------------------------------------- encode_corpus's helper thread
 
 
 @pytest.fixture(params=[True, False], ids=["worker", "inline"])
-def forks(request, monkeypatch):
-    """fork_pays() forced on or off; the list collects the pid of each
-    os.fork call made in this process."""
+def helpers(request, monkeypatch):
+    """fork_pays() forced on or off; the list collects each thread started
+    in this process."""
     monkeypatch.setattr(_fork, "fork_pays", lambda: request.param)
-    made, fork = [], os.fork
+    started, start = [], threading.Thread.start
 
-    def counted_fork():
-        made.append(os.getpid())
-        return fork()
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return made
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    return started
 
 
 def small_encoder(seed=4):
@@ -197,23 +198,23 @@ def small_encoder(seed=4):
     return init_weights(cfg, seed=seed), Vocabulary([f"w{i}" for i in range(35)])
 
 
-def no_child_left():
-    assert multiprocessing.active_children() == []
-
-
-def test_encode_corpus_gives_each_doc_its_own_bytes_on_either_path(forks):
+def test_encode_corpus_gives_each_doc_its_own_bytes_on_either_path(helpers):
     """Five batches of mixed lengths (one past max_seq_len), with a doc of no
     content tokens and one with [UNK]: the caller's order, and each vector
-    the bytes of its doc encoded alone."""
+    the bytes of its doc encoded alone, with the threads switching often."""
     weights, vocab = small_encoder()
     rng = np.random.default_rng(7)
     docs = {f"d{i:02d}": " ".join(f"w{t}" for t in rng.integers(0, 35, size=rng.integers(1, 14)))
             for i in rng.permutation(13)}
     docs["d_unk"] = "w3 unknown w4"
     docs["d_empty"] = "nothing known here"
-    reps = encode_corpus(weights, docs, vocab, batch_size=3)
-    assert forks == ([os.getpid()] if _fork.fork_pays() else [])
-    no_child_left()
+    live, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reps = encode_corpus(weights, docs, vocab, batch_size=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helpers) == _fork.fork_pays() and threading.active_count() == live
     assert list(reps) == list(docs) and list(reps["d_empty"].items()) == []
     for doc_id, text in docs.items():
         if doc_id == "d_empty":
@@ -225,54 +226,62 @@ def test_encode_corpus_gives_each_doc_its_own_bytes_on_either_path(forks):
 
 
 def test_encode_corpus_cuts_the_fewest_equal_batches_in_length_order(monkeypatch):
-    """Inline, every batch passes through this process: 10 content docs at
-    batch_size 4 make 3 batches of 3 or 4 sequences, shortest first."""
-    monkeypatch.setattr(_fork, "fork_pays", lambda: False)
+    """10 content docs at batch_size 4 make 3 batches of 3 or 4 sequences,
+    shortest first. Inline the caller encodes all three; with the helper,
+    the helper encodes the middle one."""
     weights, vocab = small_encoder()
     seen, encode = [], index_module.encode_sparse_batch
 
     def spied(w, seqs):
-        seen.append([len(seq) for seq in seqs])
+        seen.append(([len(seq) for seq in seqs], threading.current_thread() is threading.main_thread()))
         return encode(w, seqs)
     monkeypatch.setattr(index_module, "encode_sparse_batch", spied)
     words = [5, 1, 3, 1, 4, 2, 5, 2, 3, 1]
     docs = {f"d{i}": " ".join(f"w{j}" for j in range(n)) for i, n in enumerate(words)}
-    encode_corpus(weights, docs | {"d_empty": "unknown"}, vocab, batch_size=4)
-    assert [len(b) for b in seen] == [3, 3, 4]
-    assert sum(seen, []) == sorted(n + 2 for n in words)
+    for pays in (False, True):
+        monkeypatch.setattr(_fork, "fork_pays", lambda: pays)
+        seen.clear()
+        encode_corpus(weights, docs | {"d_empty": "unknown"}, vocab, batch_size=4)
+        batches = sorted(seen)  # the helper's batch may finish first
+        assert [len(b) for b, _ in batches] == [3, 3, 4]
+        assert sum((b for b, _ in batches), []) == sorted(n + 2 for n in words)
+        assert [on_caller for _, on_caller in batches] == [True, not pays, True]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_a_non_finite_row_in_the_worker_share_is_refused_naming_the_first_doc(forks):
+def test_a_non_finite_row_in_the_worker_share_is_refused_naming_the_first_doc(helpers):
     """Sorted by length the batches are [d2 d4] (the caller's) and [d3 d1]
-    (the worker's). A NaN position embedding at position 4 reaches only
+    (the helper's). A NaN position embedding at position 4 reaches only
     sequences of 5 or more ids, d3 and d1; d1 comes first in the caller's
     order."""
     weights, vocab = small_encoder()
     weights["emb.position"].data[4] = np.nan
     docs = {"d1": "w1 w2 w3 w4", "d2": "w5", "d3": "w6 w7 w8", "d4": "w9 w10"}
+    live = threading.active_count()
     with pytest.raises(ValueError, match=r"encoder row of 'd1' holds a non-finite weight"):
         encode_corpus(weights, docs, vocab, batch_size=2)
-    assert len(forks) == _fork.fork_pays()
-    no_child_left()
+    assert len(helpers) == _fork.fork_pays() and threading.active_count() == live
 
 
-def test_a_one_batch_call_starts_no_process(forks):
+def test_a_one_batch_call_starts_no_process(helpers):
+    """Nor a thread: a query, one batch or no batch at all runs inline."""
     weights, vocab = small_encoder()
     docs = {f"d{i}": f"w{i} w{i + 1}" for i in range(4)} | {"d_empty": "unknown"}
     reps = encode_corpus(weights, docs, vocab, batch_size=4)
     assert encode_queries(weights, {"q": "w7 w8"}, vocab)["q"].l0() > 0
     assert encode_corpus(weights, {"d_empty": "unknown"}, vocab)["d_empty"].l0() == 0  # no batch
-    assert forks == [] and list(reps) == list(docs)
+    assert helpers == [] and list(reps) == list(docs)
+    assert multiprocessing.active_children() == []
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         encode_corpus(weights, docs, vocab, batch_size=0)
 
 
 @pytest.mark.parametrize("share", ["worker", "caller"])
-def test_an_error_in_either_share_reaches_the_caller_and_leaves_no_child(forks, monkeypatch,
+def test_an_error_in_either_share_reaches_the_caller_and_leaves_no_child(helpers, monkeypatch,
                                                                         share):
-    """Sorted, the batches are [d2] (the caller's) and [d1] (the worker's).
-    The error keeps its type and message on either path."""
+    """Sorted, the batches are [d2] (the caller's) and [d1] (the helper's).
+    The error keeps its type and message on either path, and the helper is
+    joined."""
     weights, vocab = small_encoder()
     encode = index_module.encode_sparse_batch
     failing = 4 if share == "worker" else 3  # the sequence length of d1, or of d2
@@ -282,11 +291,11 @@ def test_an_error_in_either_share_reaches_the_caller_and_leaves_no_child(forks, 
             raise KeyError(f"in the {share}")
         return encode(w, seqs)
     monkeypatch.setattr(index_module, "encode_sparse_batch", failing_encode)
+    live = threading.active_count()
     with pytest.raises(KeyError) as exc:
         encode_corpus(weights, {"d1": "w1 w2", "d2": "w3"}, vocab, batch_size=1)
-    assert exc.value.args == (f"in the {share}",)
-    assert len(forks) == _fork.fork_pays()
-    no_child_left()
+    assert type(exc.value) is KeyError and exc.value.args == (f"in the {share}",)
+    assert len(helpers) == _fork.fork_pays() and threading.active_count() == live
 
 
 def test_index_from_vectors_matches_a_dict_built_matrix():

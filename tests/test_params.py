@@ -115,6 +115,24 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.checksum() == ckpt.checksum()
 
 
+def test_loaded_tensors_are_writable_float32_with_the_saved_bytes(tmp_path):
+    """Training updates loaded tensors in place: each is its own writable
+    float32 array, and writing one moves no other tensor and no file byte."""
+    ckpt = make_ckpt(seed=5)
+    save_checkpoint(ckpt, tmp_path / "ck")
+    on_disk = (tmp_path / "ck" / "tensors.bin").read_bytes()
+    loaded = load_checkpoint(tmp_path / "ck")
+    for name in ckpt.weights.names():
+        data = loaded.weights[name].data
+        assert data.dtype == np.float32 and data.flags.writeable and data.flags.c_contiguous
+        assert data.tobytes() == ckpt.weights[name].data.tobytes()
+    loaded.weights["emb.token"].data += 1.0
+    for name in ckpt.weights.names():
+        if name != "emb.token":
+            assert loaded.weights[name].data.tobytes() == ckpt.weights[name].data.tobytes()
+    assert (tmp_path / "ck" / "tensors.bin").read_bytes() == on_disk
+
+
 def test_checkpoint_save_is_idempotent(tmp_path):
     ckpt = make_ckpt(seed=2)
     save_checkpoint(ckpt, tmp_path / "ck")
