@@ -5,12 +5,9 @@ indexing, search, evaluation, and significance testing. Configuration is a
 single JSON document; unknown keys are rejected so sweep-config typos fail
 loudly instead of silently running defaults.
 
-Workdir layout:
-    data/{source,target}/   corpus.jsonl queries.tsv qrels.trec triples.tsv
-    vocab.txt               shared vocabulary (built once from both corpora)
-    checkpoints/<stage>/    manifest.json + tensors.bin per stage tag
-    logs/<stage>.jsonl      per-step training losses
-    indexes/ runs/ report.json report.txt
+The workdir keeps data/ and vocab.txt (resolve_data, resolve_vocab), the
+stages' checkpoints and logs (training._Stages, the stage store), and
+indexes, runs and reports; README "Workdir layout" lists every file.
 
 Every artifact is a function of (config, seed). Rerunning a command
 reproduces it byte-exactly on the same numpy/BLAS build at the same BLAS
@@ -36,12 +33,10 @@ from .experiment import (
     format_sweep_table, run_experiment, sparse_run, sweep_k,
 )
 from .index import build_frequency_index, build_impact_index, load_index, save_index
-from .model import ModelConfig, init_weights
-from .params import (
-    STAGES, Checkpoint, _read_json, _require, compose, load_checkpoint, save_checkpoint,
-)
+from .model import ModelConfig
+from .params import STAGES, Checkpoint, _read_json, load_checkpoint
 from .synth import SynthSpec, generate
-from .training import MODES, PipelineSpec, finetune_ir, pretrain_mlm
+from .training import MODES, PipelineSpec, _Stages, read_stage
 from .vocab import Vocabulary, build_vocabulary
 
 log = logging.getLogger(__name__)
@@ -212,77 +207,16 @@ def _prepare(args: argparse.Namespace) -> tuple[CliConfig, Path, Dataset, Datase
     return cfg, workdir, source, target, vocab
 
 
-def _stage_dir(workdir: Path, stage: str) -> Path:
-    return workdir / "checkpoints" / stage
-
-
-def load_stage(workdir: Path, stage: str, hint: str) -> Checkpoint:
-    path = _stage_dir(workdir, stage)
-    if not (path / "manifest.json").exists():
-        raise ValueError(f"missing prerequisite checkpoint {stage!r} "
-                         f"(expected {path}; run `spladapt {hint}` first)")
-    return load_checkpoint(path)
-
-
-def load_input_stage(workdir: Path, stage: str, hint: str, model: ModelConfig,
-                     seed: int) -> Checkpoint:
-    """load_stage, refused unless the checkpoint is tagged stage, has this
-    run's model config, and each parent checksum leads back, through the
-    workdir's saved stages, to the base init_weights(model, seed)."""
-    ckpt = load_stage(workdir, stage, hint)
-    manifest = _stage_dir(workdir, stage) / "manifest.json"
-    if ckpt.stage != stage:
-        raise ValueError(f"{manifest}: field 'stage' is {ckpt.stage!r}, not {stage!r}")
-    if ckpt.config != model:
-        raise ValueError(f"{manifest}: field 'config' is not this run's model config "
-                         f"({ckpt.config} vs {model})")
-    base_checksum = Checkpoint(init_weights(model, seed=seed), stage="base").checksum()
-
-    def leads_to_base(saved_as: str, child: Checkpoint) -> bool:
-        for i, ref in enumerate(child.parents):
-            _require(ref, ("stage", "checksum"),
-                     f"{_stage_dir(workdir, saved_as) / 'manifest.json'}: parents[{i}]")
-            if ref["stage"] == "base":
-                if ref["checksum"] != base_checksum:
-                    return False
-                continue
-            # a stage descends only from earlier ones, so the walk ends
-            if ref["stage"] not in STAGES[1:STAGES.index(saved_as)]:
-                return False
-            path = _stage_dir(workdir, ref["stage"])
-            if not (path / "manifest.json").exists():
-                return False
-            parent = load_checkpoint(path)
-            if parent.checksum() != ref["checksum"] or not leads_to_base(ref["stage"], parent):
-                return False
-        return bool(child.parents)
-
-    if not leads_to_base(stage, ckpt):
-        raise ValueError(f"{manifest}: field 'parents' does not lead back through the saved "
-                         f"stages of {workdir} to the base of this model config at seed {seed}")
-    return ckpt
-
-
-def ensure_base(workdir: Path, model: ModelConfig, seed: int) -> Checkpoint:
-    """The base checkpoint init_weights(model, seed), saved on first use. A
-    saved base that holds other weights or another config is refused."""
-    path = _stage_dir(workdir, "base")
-    base = Checkpoint(init_weights(model, seed=seed), stage="base")
-    if (path / "manifest.json").exists():
-        saved = load_checkpoint(path)
-        if saved.config != model or saved.checksum() != base.checksum():
-            raise ValueError(f"{path} is not the base of this model config at seed {seed}; "
-                             f"use a fresh workdir, or the seed and config it was built with")
-    else:
-        save_checkpoint(base, path)
-        log.info("initialized base checkpoint (seed %d) -> %s", seed, path)
-    return base
+def _store(args: argparse.Namespace) -> _Stages:
+    """The stage store of the run that the flags and config describe."""
+    cfg, workdir, source, target, vocab = _prepare(args)
+    return _Stages(cfg.spec, source.docs, target.docs, source.triples, vocab, workdir)
 
 
 def _resolve_checkpoint(workdir: Path, ref: str) -> Checkpoint:
     """A checkpoint reference is a stage tag or a directory path."""
     if ref in STAGES:
-        return load_stage(workdir, ref, "pipeline")
+        return read_stage(workdir, ref, "pipeline")
     path = Path(ref)
     if (path / "manifest.json").exists():
         return load_checkpoint(path)
@@ -303,6 +237,7 @@ def cmd_synth_gen(args: argparse.Namespace) -> int:
     source, target = generate(spec)
     save_dataset(source, workdir / "data" / "source")
     save_dataset(target, workdir / "data" / "target")
+    (workdir / "vocab.txt").unlink(missing_ok=True)  # built from the old corpora
     vocab = resolve_vocab(workdir, source, target, cfg.spec.model.vocab_size)
     for name, ds in (("source", source), ("target", target)):
         st = dataset_stats(ds)
@@ -315,45 +250,32 @@ def cmd_synth_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_pretrain(args: argparse.Namespace) -> int:
-    cfg, workdir, source, target, vocab = _prepare(args)
-    spec = cfg.spec
-    base = ensure_base(workdir, spec.model, spec.seed)
-    corpus = source.docs if args.stage == "pretrain_source" else target.docs
-    (workdir / "logs").mkdir(exist_ok=True)
-    ckpt = pretrain_mlm(base, list(corpus.values()), vocab, spec.pretrain_stage(args.stage),
-                        log_path=workdir / "logs" / f"{args.stage}.jsonl")
-    path = save_checkpoint(ckpt, _stage_dir(workdir, args.stage))
+    stages = _store(args)
+    stages.saved_base()
+    [path] = stages.save("checkpoints", {args.stage: stages.pretrain(args.stage)})
+    spec = stages.spec
     print(f"saved {path} ({spec.pretrain_steps} steps, k={spec.model.k_domain_layers})")
     return 0
 
 
 def cmd_finetune(args: argparse.Namespace) -> int:
-    cfg, workdir, source, _, vocab = _prepare(args)
-    spec = cfg.spec
-    if spec.mode == "full":
-        init = load_input_stage(workdir, "pretrain_source", "pretrain --stage pretrain_source",
-                                spec.model, spec.seed)
+    stages = _store(args)
+    if stages.spec.mode == "full":
+        init = stages.load("pretrain_source", "pretrain --stage pretrain_source")
     else:
-        init = ensure_base(workdir, spec.model, spec.seed)
-    (workdir / "logs").mkdir(exist_ok=True)
-    ckpt = finetune_ir(init, source.triples, source.docs, vocab, spec.finetune_stage(),
-                       log_path=workdir / "logs" / "finetune_source.jsonl")
-    path = save_checkpoint(ckpt, _stage_dir(workdir, "finetune_source"))
-    print(f"saved {path} (from {init.stage!r}, {spec.finetune_steps} steps)")
+        init = stages.saved_base()
+    [path] = stages.save("checkpoints", {"finetune_source": stages.finetune(init)})
+    print(f"saved {path} (from {init.stage!r}, {stages.spec.finetune_steps} steps)")
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    cfg, workdir, _, _, _ = _prepare(args)
-    model, seed = cfg.spec.model, cfg.spec.seed
-    finetuned = load_input_stage(workdir, "finetune_source", "finetune", model, seed)
-    if cfg.spec.mode == "wo_pretraining":
-        composed = finetuned.derive("composed", parents=[finetuned.parent_ref()])
-    else:
-        pretrained = load_input_stage(workdir, "pretrain_target",
-                                      "pretrain --stage pretrain_target", model, seed)
-        composed = compose(pretrained, finetuned)
-    path = save_checkpoint(composed, _stage_dir(workdir, "composed"))
+    stages = _store(args)
+    finetuned = stages.load("finetune_source", "finetune")
+    pretrained = (None if stages.spec.mode == "wo_pretraining"
+                  else stages.load("pretrain_target", "pretrain --stage pretrain_target"))
+    composed = stages.composed(finetuned, pretrained)
+    [path] = stages.save("checkpoints", {"composed": composed})
     parents = ", ".join(f"{p['stage']}@{p['checksum'][:12]}" for p in composed.parents)
     print(f"saved {path} (parents: {parents})")
     return 0

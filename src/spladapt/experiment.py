@@ -31,14 +31,14 @@ from .index import (
     index_from_vectors, retrieve_bm25, retrieve_sparse_batch, save_index,
 )
 from .model import EncoderWeights, SparseVector
-from .params import Checkpoint, compose
+from .params import Checkpoint
 from .training import PipelineSpec, _Stages, run_pipeline
 
-# Stages save and fine-tune through training._Stages, and sparse_run scores
-# through retrieve_sparse_batch. These three names stay importable from here
-# because bench/tracing.py patches them in this module.
+# Stages fine-tune, compose and save through training._Stages, and sparse_run
+# scores through retrieve_sparse_batch. These four names stay importable from
+# here because bench/tracing.py patches them in this module.
 from .index import retrieve_sparse  # noqa: F401,E402
-from .params import save_checkpoint  # noqa: F401,E402
+from .params import compose, save_checkpoint  # noqa: F401,E402
 from .training import finetune_ir  # noqa: F401,E402
 from .vocab import Vocabulary, tokenize
 
@@ -199,7 +199,7 @@ def benchmark_variants(spec: PipelineSpec, source: Dataset, target: Dataset, voc
         yield pretrained_target
         c_base = stages.finetune(stages.base, log_name="finetune_from_base")
         yield c_base
-        wo_source = compose(pretrained_target, c_base)
+        wo_source = stages.composed(c_base, pretrained_target)
         yield wo_source
         for name, ckpt in (("wo_source", wo_source), ("wo_pretraining", c_base)):
             yield sparse_method(name, ckpt.weights, target, vocab, cutoff)[:2]
@@ -210,7 +210,7 @@ def benchmark_variants(spec: PipelineSpec, source: Dataset, target: Dataset, voc
         zeroshot = sparse_method("zeroshot", finetuned.weights, target, vocab, cutoff)[:2]
         bm25 = bm25_method("bm25", target, vocab, cutoff)
         pretrained_target = from_worker()
-        composed = compose(pretrained_target, finetuned)
+        composed = stages.composed(finetuned, pretrained_target)
         res, runs, composed_index = sparse_method(
             "composed", composed.weights, target, vocab, cutoff)
         c_base = from_worker()

@@ -75,13 +75,6 @@ class ParameterPartition:
     domain_names: frozenset[str]
     task_names: frozenset[str]
 
-    def subset_of(self, name: str) -> str:
-        if name in self.domain_names:
-            return "domain"
-        if name in self.task_names:
-            return "task"
-        raise KeyError(f"unknown parameter name: {name}")
-
 
 def partition_parameters(config: ModelConfig) -> ParameterPartition:
     """Split parameter names into the domain subset (embeddings, MLM bias,
@@ -126,10 +119,6 @@ class Checkpoint:
     def checksum(self) -> str:
         """The blob_checksum a save of these weights records."""
         return _root([fnv1a64(raw) for raw in _tensor_bytes(self.weights).values()])
-
-    def derive(self, stage: str, parents: list[dict]) -> "Checkpoint":
-        """Deep-copied weights under a new stage tag."""
-        return Checkpoint(self.weights.copy(), stage=stage, parents=parents)
 
     def parent_ref(self) -> dict:
         return {"stage": self.stage, "checksum": self.checksum()}

@@ -29,9 +29,10 @@ Seeded stages also make the two chains of run_pipeline independent:
 pretrain_target reads only the base. Where BLAS is pinned so that a worker
 gets cores of its own (_fork.fork_pays), it runs in a forked worker process
 beside pretrain_source -> finetune_source, and its checkpoint keeps its
-bytes. _Stages holds the wiring every stage shares (the seeded base, stage
-specs, log and checkpoint paths), so run_pipeline and
-experiment.benchmark_variants differ only in how they schedule the stages.
+bytes. _Stages, the stage store, holds what every stage shares (the seeded
+base, stage specs, the compose step, log and checkpoint paths, and the
+checks on saved stages), so run_pipeline, experiment.benchmark_variants and
+the CLI's stage commands differ only in how they schedule the stages.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numbers
 import resource
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -54,13 +56,15 @@ from .autodiff import GradTape, Tensor
 from .data import TrainTriple
 from .model import EncoderWeights, ModelConfig, encode_sparse_batch, init_weights, mlm_logits
 from .optim import AdamState, adam_step
-from .params import Checkpoint, compose, partition_parameters, save_checkpoint
+from .params import (
+    STAGES, Checkpoint, _require, compose, load_checkpoint, partition_parameters, save_checkpoint,
+)
 from .vocab import MASK_ID, N_SPECIALS, Vocabulary
 
 __all__ = [
     "MASK_ACTIONS", "mask_tokens", "MlmBatch", "build_mlm_batch",
     "StageSpec", "pretrain_mlm", "finetune_ir",
-    "PipelineSpec", "MODES", "run_pipeline",
+    "PipelineSpec", "MODES", "run_pipeline", "read_stage",
 ]
 
 log = logging.getLogger(__name__)
@@ -369,13 +373,34 @@ class PipelineSpec:
         return self._stages["finetune_source"]
 
 
-class _Stages:
-    """The stage, log and checkpoint wiring of one experiment.
+def _stage_dir(workdir: Path, stage: str) -> Path:
+    return workdir / "checkpoints" / stage
 
-    Every stage starts from the same seeded base, takes its StageSpec from
-    the PipelineSpec, and with a workdir writes its JSONL log to
-    workdir/logs/<name>.jsonl; save() writes checkpoints under workdir.
-    run_pipeline and experiment.benchmark_variants schedule the stages.
+
+def read_stage(workdir: str | Path, stage: str, hint: str) -> Checkpoint:
+    """The checkpoint saved for stage in workdir, as it is; a missing one is
+    refused, naming `spladapt {hint}`, the command that writes it."""
+    path = _stage_dir(Path(workdir), stage)
+    if not (path / "manifest.json").exists():
+        raise ValueError(f"missing prerequisite checkpoint {stage!r} "
+                         f"(expected {path}; run `spladapt {hint}` first)")
+    return load_checkpoint(path)
+
+
+class _Stages:
+    """The stage store of one experiment: its stages, and where a workdir
+    keeps their logs and checkpoints.
+
+    Workdir layout (README "Workdir layout" lists the rest of a workdir):
+        checkpoints/<stage>/   manifest.json + tensors.bin, one per stage tag
+        variants/<name>/       benchmark_variants' ablation checkpoints
+        logs/<name>.jsonl      one JSON object per training step of a stage
+
+    Every stage starts from the same seeded base and takes its StageSpec
+    from the PipelineSpec. run_pipeline and experiment.benchmark_variants
+    schedule the stages and save() what they make. The CLI's stage commands
+    run one stage each, from saved_base() or from the saved input stages
+    that load() checks.
     """
 
     def __init__(self, spec: PipelineSpec, source_docs: dict[str, str],
@@ -385,12 +410,17 @@ class _Stages:
         self.spec, self.vocab, self.triples = spec, vocab, list(triples)
         self.source_docs, self.target_docs = source_docs, target_docs
         self.workdir = None if workdir is None else Path(workdir)
-        if self.workdir is not None:
-            (self.workdir / "logs").mkdir(parents=True, exist_ok=True)
         self.base = Checkpoint(init_weights(spec.model, seed=spec.seed), stage="base")
 
+    @cached_property
+    def _base_checksum(self) -> str:
+        return self.base.checksum()
+
     def _log_path(self, name: str) -> Path | None:
-        return None if self.workdir is None else self.workdir / "logs" / f"{name}.jsonl"
+        if self.workdir is None:
+            return None
+        (self.workdir / "logs").mkdir(parents=True, exist_ok=True)
+        return self.workdir / "logs" / f"{name}.jsonl"
 
     def pretrain(self, stage: str) -> Checkpoint:
         docs = self.source_docs if stage == "pretrain_source" else self.target_docs
@@ -403,10 +433,71 @@ class _Stages:
         return finetune_ir(init, self.triples, self.source_docs, self.vocab,
                            self.spec.finetune_stage(), self._log_path(log_name))
 
-    def save(self, subdir: str, checkpoints: dict[str, Checkpoint]) -> None:
-        if self.workdir is not None:
-            for name, ckpt in checkpoints.items():
-                save_checkpoint(ckpt, self.workdir / subdir / name)
+    def composed(self, finetuned: Checkpoint, pretrained_target: Checkpoint | None) -> Checkpoint:
+        """The domain subset of pretrained_target grafted onto the task subset
+        of finetuned; without a target pretrain (wo_pretraining), finetuned
+        itself under the composed tag."""
+        if pretrained_target is None:
+            return Checkpoint(finetuned.weights.copy(), stage="composed",
+                              parents=[finetuned.parent_ref()])
+        return compose(pretrained_target, finetuned)
+
+    def save(self, subdir: str, checkpoints: dict[str, Checkpoint]) -> list[Path]:
+        if self.workdir is None:
+            return []
+        return [save_checkpoint(ckpt, self.workdir / subdir / name)
+                for name, ckpt in checkpoints.items()]
+
+    def saved_base(self) -> Checkpoint:
+        """The base, saved on first use. A saved base that holds other
+        weights or another config is refused."""
+        path = _stage_dir(self.workdir, "base")
+        if not (path / "manifest.json").exists():
+            self.save("checkpoints", {"base": self.base})
+            log.info("initialized base checkpoint (seed %d) -> %s", self.spec.seed, path)
+            return self.base
+        saved = load_checkpoint(path)
+        if saved.config != self.spec.model or saved.checksum() != self._base_checksum:
+            raise ValueError(f"{path} is not the base of this model config at seed "
+                             f"{self.spec.seed}; use a fresh workdir, or the seed and config "
+                             f"it was built with")
+        return self.base
+
+    def load(self, stage: str, hint: str) -> Checkpoint:
+        """read_stage, refused unless the checkpoint is tagged stage, has this
+        run's model config, and each parent checksum leads back, through the
+        workdir's saved stages, to the base."""
+        ckpt = read_stage(self.workdir, stage, hint)
+        manifest = _stage_dir(self.workdir, stage) / "manifest.json"
+        if ckpt.stage != stage:
+            raise ValueError(f"{manifest}: field 'stage' is {ckpt.stage!r}, not {stage!r}")
+        if ckpt.config != self.spec.model:
+            raise ValueError(f"{manifest}: field 'config' is not this run's model config "
+                             f"({ckpt.config} vs {self.spec.model})")
+        if not self._leads_to_base(stage, ckpt):
+            raise ValueError(f"{manifest}: field 'parents' does not lead back through the saved "
+                             f"stages of {self.workdir} to the base of this model config at "
+                             f"seed {self.spec.seed}")
+        return ckpt
+
+    def _leads_to_base(self, saved_as: str, child: Checkpoint) -> bool:
+        for i, ref in enumerate(child.parents):
+            _require(ref, ("stage", "checksum"),
+                     f"{_stage_dir(self.workdir, saved_as) / 'manifest.json'}: parents[{i}]")
+            if ref["stage"] == "base":
+                if ref["checksum"] != self._base_checksum:
+                    return False
+                continue
+            # a stage descends only from earlier ones, so the walk ends
+            if ref["stage"] not in STAGES[1:STAGES.index(saved_as)]:
+                return False
+            path = _stage_dir(self.workdir, ref["stage"])
+            if not (path / "manifest.json").exists():
+                return False
+            parent = load_checkpoint(path)
+            if parent.checksum() != ref["checksum"] or not self._leads_to_base(ref["stage"], parent):
+                return False
+        return bool(child.parents)
 
 
 def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: dict[str, str],
@@ -422,8 +513,8 @@ def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: d
     wo_pretraining:  skip both pretrains; the composed model is the
                      fine-tuned base model itself (zero-shot on target).
 
-    With a workdir, each checkpoint lands in workdir/checkpoints/<stage> and
-    each stage appends a JSONL training log under workdir/logs/.
+    With a workdir, the checkpoints and stage logs land where _Stages keeps
+    them.
 
     pretrain_target runs in a forked worker beside the source stages when
     _fork.fork_pays(), and inline after them otherwise; the checkpoints are
@@ -433,8 +524,6 @@ def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: d
     out: dict[str, Checkpoint] = {"base": stages.base}
     if spec.mode == "wo_pretraining":
         out["finetune_source"] = stages.finetune(stages.base)
-        out["composed"] = out["finetune_source"].derive(
-            "composed", parents=[out["finetune_source"].parent_ref()])
     else:
         def target_lane():
             yield stages.pretrain("pretrain_target")
@@ -447,6 +536,6 @@ def run_pipeline(spec: PipelineSpec, source_docs: dict[str, str], target_docs: d
             finetuned = stages.finetune(out.get("pretrain_source", stages.base))
             out["pretrain_target"] = pretrained_target()
         out["finetune_source"] = finetuned
-        out["composed"] = compose(out["pretrain_target"], finetuned)
+    out["composed"] = stages.composed(out["finetune_source"], out.get("pretrain_target"))
     stages.save("checkpoints", out)
     return out

@@ -54,22 +54,12 @@ class Vocabulary:
     def __len__(self) -> int:
         return N_SPECIALS + len(self._terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self._ids
-
     @property
     def terms(self) -> tuple[str, ...]:
         return self._terms
 
     def id_of(self, term: str) -> int:
         return self._ids.get(term, UNK_ID)
-
-    def term_of(self, tid: int) -> str:
-        if 0 <= tid < N_SPECIALS:
-            return SPECIAL_TOKENS[tid]
-        if N_SPECIALS <= tid < len(self):
-            return self._terms[tid - N_SPECIALS]
-        raise IndexError(f"term id {tid} out of range for vocabulary of {len(self)}")
 
     def encode(self, text: str, max_seq_len: int | None = None) -> np.ndarray:
         """[CLS] t1 .. tn [SEP], truncated to max_seq_len; unknown terms map to [UNK]."""

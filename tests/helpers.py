@@ -1,6 +1,7 @@
 """Test-only helpers: finite-difference gradients, per-tensor checksums, the
-byte comparison that audits frozen tensors, a full-sort top-k reference, and
-a field-by-field report.json writer."""
+byte comparison that audits frozen tensors, a full-sort top-k reference, a
+field-by-field report.json writer, and the vocabulary and partition lookups
+that only tests make."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from spladapt.autodiff import Tensor
 from spladapt.evaluation import EvalReport
 from spladapt.index import InvertedIndex, RankedList
 from spladapt.model import EncoderWeights
-from spladapt.params import _tensor_bytes, fnv1a64
+from spladapt.params import ParameterPartition, _tensor_bytes, fnv1a64
+from spladapt.vocab import N_SPECIALS, SPECIAL_TOKENS, UNK_ID, Vocabulary
 
 
 def numeric_gradient(fn: Callable[[], Tensor], param: Tensor, eps: float = 1e-5) -> np.ndarray:
@@ -111,3 +113,26 @@ def reference_report_json(report: EvalReport) -> str:
         "metadata": report.metadata,
     }
     return json.dumps(payload, indent=1)
+
+
+def term_of(vocab: Vocabulary, tid: int) -> str:
+    """The term with id tid; the special ids by their token names."""
+    if 0 <= tid < N_SPECIALS:
+        return SPECIAL_TOKENS[tid]
+    if N_SPECIALS <= tid < len(vocab):
+        return vocab.terms[tid - N_SPECIALS]
+    raise IndexError(f"term id {tid} out of range for vocabulary of {len(vocab)}")
+
+
+def in_vocabulary(vocab: Vocabulary, term: str) -> bool:
+    """Whether term has an id of its own (the specials are not terms)."""
+    return vocab.id_of(term) != UNK_ID
+
+
+def subset_of(part: ParameterPartition, name: str) -> str:
+    """"domain" or "task": the subset of part that holds the parameter name."""
+    if name in part.domain_names:
+        return "domain"
+    if name in part.task_names:
+        return "task"
+    raise KeyError(f"unknown parameter name: {name}")

@@ -32,7 +32,7 @@ from spladapt.training import (MASK_ACTIONS, PipelineSpec, finetune_ir,
                                mask_tokens, pretrain_mlm, run_pipeline)
 from spladapt.vocab import N_SPECIALS, Vocabulary, build_vocabulary
 
-from helpers import freeze_verify, numeric_gradient, tensor_checksums
+from helpers import freeze_verify, in_vocabulary, numeric_gradient, subset_of, tensor_checksums
 
 # Calibrated toy budgets for the cross-domain suite. Pretraining runs at the
 # package default rate (PipelineSpec.lr). At 1e-4 the composed model gains
@@ -128,7 +128,7 @@ def test_partition_is_disjoint_exhaustive_and_k_indexed(capfd):
             layer = re.match(r"layer\.(\d+)\.", name)
             if layer:
                 want = "domain" if int(layer.group(1)) < k else "task"
-                assert part.subset_of(name) == want, (k, name)
+                assert subset_of(part, name) == want, (k, name)
     with pytest.raises(ValueError):
         partition_parameters(ModelConfig(n_layers=L, k_domain_layers=L))
     _finish(capfd, t0, 1.0,
@@ -335,7 +335,7 @@ def _bm25_oracle(docs, query_text, voc, cutoff, k1=0.9, b=0.4):
     lengths = {d: len(toks) for d, toks in tokens.items()}
     n_docs = len(docs)
     avgdl = sum(lengths.values()) / n_docs
-    qcounts = Counter(t for t in query_text.split() if t in voc)
+    qcounts = Counter(t for t in query_text.split() if in_vocabulary(voc, t))
     df = {t: sum(1 for toks in tokens.values() if t in toks) for t in qcounts}
     scored = []
     for d, toks in tokens.items():

@@ -1,13 +1,18 @@
 """Command-line interface: config parsing, stage commands, reports, errors."""
 
 import json
+import posixpath
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
 from spladapt.cli import apply_overrides, load_config, main
 from spladapt.evaluation import EvalReport, read_run
 from spladapt.index import load_index
+from spladapt.params import STAGES
+from spladapt.training import MODES
 
 TINY = {
     "model": {"vocab_size": 400, "n_layers": 2, "d_model": 16, "n_heads": 2,
@@ -135,6 +140,15 @@ class TestSynthGen:
         out = capsys.readouterr().out
         assert "60 docs" in out and "vocabulary" in out
 
+    def test_a_rerun_at_another_seed_rebuilds_the_vocabulary(self, config_path, tmp_path):
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        for workdir, seeds in ((rerun, ("1", "2")), (fresh, ("2",))):
+            for seed in seeds:
+                assert main(["synth-gen", "--config", config_path, "--workdir", str(workdir),
+                             "--seed", seed]) == 0
+        for name in ("data/source/corpus.jsonl", "data/target/corpus.jsonl", "vocab.txt"):
+            assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+
 
 class TestPipeline:
     def test_full_mode_emits_four_stage_checkpoints_and_report(self, pipeline_dir):
@@ -173,22 +187,85 @@ class TestPipeline:
         assert "full" in capsys.readouterr().err
 
 
+_STAGE_COMMANDS = {
+    "full": (["pretrain", "--stage", "pretrain_source"], ["pretrain", "--stage", "pretrain_target"],
+             ["finetune"], ["compose"]),
+    "wo_source": (["pretrain", "--stage", "pretrain_target"], ["finetune"], ["compose"]),
+    "wo_pretraining": (["finetune"], ["compose"]),
+}
+
+
+# what each placeholder of README's "Workdir layout" stands for
+_PLACEHOLDERS = {"<stage>": "|".join(STAGES), "<domain>": "source|target",
+                 "<kind>": "impact|frequency", "<checkpoint>": "|".join(STAGES),
+                 "<k>": r"\d+", "*": r"[^/]*"}
+
+
+def _layout_patterns() -> list[str]:
+    """A regex for each file that README's "Workdir layout" block lists.
+
+    A line names a path, then free text. Where the path ends in "/", the
+    file names in the text are files in that directory; otherwise the path
+    is a file, and the file names in the text are its siblings."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Workdir layout", 1)[1].split("```")[1]
+    paths = []
+    for line in block.splitlines():
+        if not line.strip() or line == "workdir/":
+            continue
+        first, *rest = line.split()
+        names = [t for t in rest if re.fullmatch(r"[\w<>*]+\.\w+", t)]
+        if first.endswith("/"):
+            paths += [first + name for name in names]
+        else:
+            paths += [first] + [posixpath.join(posixpath.dirname(first), n) for n in names]
+    patterns = []
+    for path in paths:
+        parts = re.split(r"(\[_<\w+>\]|<\w+>|\*)", path)
+        patterns.append("".join(
+            f"(?:_(?:{_PLACEHOLDERS[p[2:-1]]}))?" if p.startswith("[")
+            else f"(?:{_PLACEHOLDERS[p]})" if p in _PLACEHOLDERS else re.escape(p)
+            for p in parts))
+    return patterns
+
+
+class TestDocs:
+    def test_the_readme_layout_lists_every_file_a_variants_run_writes(self, config_path,
+                                                                      tmp_path):
+        assert main(["pipeline", "--config", config_path, "--workdir", str(tmp_path),
+                     "--variants"]) == 0
+        patterns = _layout_patterns()
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        files = [f for f in written if (tmp_path / f).is_file()]
+        unlisted = [f for f in files if not any(re.fullmatch(p, f) for p in patterns)]
+        assert unlisted == [], "files missing from README's Workdir layout"
+        # so every directory is listed too, as the directory of a listed file
+        assert all(any(f.startswith(d + "/") for f in files) for d in written if d not in files)
+
+
 class TestStagewise:
-    def test_stage_commands_reproduce_the_pipeline_byte_exactly(self, config_path,
-                                                                pipeline_dir, tmp_path):
-        w = str(tmp_path)
-        assert main(["synth-gen", "--config", config_path, "--workdir", w]) == 0
-        assert main(["pretrain", "--config", config_path, "--workdir", w,
-                     "--stage", "pretrain_source"]) == 0
-        assert main(["pretrain", "--config", config_path, "--workdir", w,
-                     "--stage", "pretrain_target"]) == 0
-        assert main(["finetune", "--config", config_path, "--workdir", w]) == 0
-        assert main(["compose", "--config", config_path, "--workdir", w]) == 0
-        for stage in ("base", "pretrain_source", "pretrain_target",
-                      "finetune_source", "composed"):
-            mine = (tmp_path / "checkpoints" / stage / "tensors.bin").read_bytes()
-            ref = (pipeline_dir / "checkpoints" / stage / "tensors.bin").read_bytes()
-            assert mine == ref, f"{stage} differs from the one-shot pipeline"
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stage_commands_reproduce_the_pipeline_byte_exactly(self, config_path, mode,
+                                                                tmp_path):
+        pipe, stages = tmp_path / "pipe", tmp_path / "stages"
+        assert main(["pipeline", "--config", config_path, "--workdir", str(pipe),
+                     "--mode", mode]) == 0
+        assert main(["synth-gen", "--config", config_path, "--workdir", str(stages)]) == 0
+        for command in _STAGE_COMMANDS[mode]:
+            assert main([*command, "--config", config_path, "--workdir", str(stages),
+                         "--mode", mode]) == 0
+        written = sorted(p.name for p in (pipe / "checkpoints").iterdir())
+        assert sorted(p.name for p in (stages / "checkpoints").iterdir()) == written
+        for stage in written:
+            for fname in ("manifest.json", "tensors.bin"):
+                mine = (stages / "checkpoints" / stage / fname).read_bytes()
+                ref = (pipe / "checkpoints" / stage / fname).read_bytes()
+                assert mine == ref, f"{stage}/{fname} differs from the one-shot pipeline"
+        # the stage commands accept the stages that the pipeline saved
+        composed = (pipe / "checkpoints" / "composed" / "tensors.bin").read_bytes()
+        assert main(["compose", "--config", config_path, "--workdir", str(pipe),
+                     "--mode", mode]) == 0
+        assert (pipe / "checkpoints" / "composed" / "tensors.bin").read_bytes() == composed
 
     def test_a_base_of_another_seed_is_refused(self, config_path, tmp_path, capsys):
         # the base is init_weights(config, seed): a workdir first used at seed 3

@@ -219,7 +219,7 @@ def test_benchmark_variants_keeps_one_worker_and_the_dense_row_off_the_caller(mo
 
     watch(training, "pretrain_mlm", lambda base, docs, vocab, spec, log_path: spec.stage)
     watch(training, "finetune_ir", lambda init, *_: f"finetune from {init.stage}")
-    watch(experiment, "compose", lambda domain, task: f"compose {task.parents[0]['stage']}")
+    watch(training, "compose", lambda domain, task: f"compose {task.parents[0]['stage']}")
     watch(experiment, "sparse_method", lambda name, *_: name)
     watch(experiment, "bm25_method", lambda name, *_: name)
     spec, source, target, vocab = tiny_benchmark()

@@ -14,7 +14,7 @@ from spladapt.params import (
     save_checkpoint,
 )
 
-from helpers import FreezeReport, freeze_verify, tensor_checksums
+from helpers import FreezeReport, freeze_verify, subset_of, tensor_checksums
 
 CFG = ModelConfig(vocab_size=40, n_layers=3, d_model=8, n_heads=2, d_ffn=16,
                   max_seq_len=10, k_domain_layers=1)
@@ -93,10 +93,10 @@ def test_partition_prefix_matching_not_fooled_by_double_digits():
 
 def test_subset_of():
     part = partition_parameters(CFG)
-    assert part.subset_of("emb.token") == "domain"
-    assert part.subset_of("layer.2.ffn.w1") == "task"
+    assert subset_of(part, "emb.token") == "domain"
+    assert subset_of(part, "layer.2.ffn.w1") == "task"
     with pytest.raises(KeyError):
-        part.subset_of("nope")
+        subset_of(part, "nope")
 
 
 # ---------------------------------------------------------------- checkpoints

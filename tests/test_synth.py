@@ -7,6 +7,8 @@ from spladapt.data import dataset_stats
 from spladapt.synth import SynthSpec, audit_exclusive_support, generate
 from spladapt.vocab import build_vocabulary, tokenize
 
+from helpers import in_vocabulary
+
 SMALL = SynthSpec(n_topics=4, shared_vocab=40, exclusive_vocab=12,
                   docs_per_domain=80, queries_per_domain=20, seed=3)
 
@@ -129,7 +131,7 @@ def test_vocabulary_fits_default_model_budget():
     for ds in (source, target):
         for text in list(ds.docs.values()) + list(ds.queries.values()):
             all_terms.update(tokenize(text))
-    missing = [t for t in all_terms if t not in vocab]
+    missing = [t for t in all_terms if not in_vocabulary(vocab, t)]
     assert not missing, missing[:10]
     assert len(vocab) <= 2000
 

@@ -10,6 +10,8 @@ from spladapt.vocab import (
     Vocabulary, build_vocabulary, tokenize,
 )
 
+from helpers import in_vocabulary, term_of
+
 
 def test_special_ids_fixed():
     assert (PAD_ID, UNK_ID, MASK_ID, CLS_ID, SEP_ID) == (0, 1, 2, 3, 4)
@@ -43,7 +45,7 @@ def test_build_rejects_tiny_max_size():
 
 def test_build_spans_multiple_corpora():
     vocab = build_vocabulary([["alpha"], ["omega"]], max_size=100)
-    assert "alpha" in vocab and "omega" in vocab
+    assert in_vocabulary(vocab, "alpha") and in_vocabulary(vocab, "omega")
 
 
 def test_encode_frames_and_maps_unknowns():
@@ -62,10 +64,10 @@ def test_encode_truncates_keeping_frame():
 
 def test_term_of_inverts_id_of():
     vocab = Vocabulary(["x9", "y"])
-    assert vocab.term_of(vocab.id_of("y")) == "y"
-    assert vocab.term_of(0) == "[PAD]"
+    assert term_of(vocab, vocab.id_of("y")) == "y"
+    assert term_of(vocab, 0) == "[PAD]"
     with pytest.raises(IndexError):
-        vocab.term_of(len(vocab))
+        term_of(vocab, len(vocab))
 
 
 def test_rejects_duplicates_and_invalid_terms():
