@@ -1,5 +1,7 @@
 """Dataset containers, file formats, and ingestion validation."""
 
+import re
+
 import pytest
 
 from spladapt.data import (
@@ -7,6 +9,7 @@ from spladapt.data import (
     load_corpus, load_dataset, load_qrels, load_queries, load_triples,
     save_corpus, save_dataset, save_qrels, save_queries, save_triples,
 )
+from spladapt.evaluation import read_run
 
 
 def _dataset():
@@ -142,3 +145,37 @@ class TestDatasetDir:
         assert loaded.queries == ds.queries
         assert loaded.qrels == ds.qrels
         assert loaded.triples == ds.triples
+
+
+# file name -> (reader, a good line, a line with a wrong field count, whether
+# a line of only spaces is skipped)
+LINE_FORMATS = {
+    "queries.tsv": (load_queries, "q1\talpha beta", "q1\talpha\textra", False),
+    "triples.tsv": (load_triples, "alpha beta\td1\td2", "alpha\td1", False),
+    "qrels.trec": (load_qrels, "q1 0 d1 1", "q1 0 d1 1 extra", True),
+    "run.trec": (read_run, "q1 Q0 d1 1 0.500000 tag", "q1 Q0 d1 1 0.500000 my tag", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_FORMATS))
+def test_line_rules(tmp_path, name):
+    """Empty lines are skipped everywhere; a line of only spaces is a record
+    of one field in the TSV files and skipped in qrels and runs; a wrong
+    field count names path:line; CRLF reads as LF."""
+    reader, good, bad, spaces_skipped = LINE_FORMATS[name]
+    path = tmp_path / name
+    path.write_text(good + "\n")
+    expected = reader(path)
+    path.write_text(f"\n{good}\n\n")
+    assert reader(path) == expected
+    path.write_bytes(f"{good}\r\n\r\n".encode())
+    assert reader(path) == expected
+    path.write_text(f"{good}\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+        reader(path)
+    path.write_text(f"{good}\n   \n")
+    if spaces_skipped:
+        assert reader(path) == expected
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+            reader(path)
