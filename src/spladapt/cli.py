@@ -30,9 +30,10 @@ from .data import Dataset, dataset_stats, load_dataset, load_qrels, load_queries
 from .evaluation import evaluate_run, paired_ttest, read_run, write_run
 from .experiment import (
     DEFAULT_CUTOFF, benchmark_variants, bm25_run, encode_queries,
-    format_sweep_table, run_experiment, sparse_run, sweep_k,
+    format_sweep_table, run_experiment, sweep_k,
 )
-from .index import build_frequency_index, build_impact_index, load_index, save_index
+from .index import (build_frequency_index, build_impact_index, load_index,
+                    retrieve_sparse_batch, save_index)
 from .model import ModelConfig
 from .params import STAGES, Checkpoint, _read_json, load_checkpoint
 from .synth import SynthSpec, generate
@@ -308,7 +309,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         if args.checkpoint is None:
             raise ValueError("searching an impact index needs --checkpoint to encode queries")
         ckpt = _resolve_checkpoint(workdir, args.checkpoint)
-        runs = sparse_run(index, encode_queries(ckpt.weights, queries, vocab), cfg.cutoff)
+        runs = retrieve_sparse_batch(index, encode_queries(ckpt.weights, queries, vocab), cfg.cutoff)
     tag = args.tag if args.tag else index.kind
     write_run(runs, args.out, tag=tag)
     print(f"wrote {args.out} ({len(runs)} queries, cutoff {cfg.cutoff})")

@@ -10,8 +10,10 @@ On-disk layout of a dataset directory:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .vocab import tokenize
 
@@ -42,9 +44,11 @@ class Dataset:
     triples: list[TrainTriple] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Referential integrity: qrels and triples may only name known docs."""
+        """Ids are whitespace-free tokens; qrels and triples name only known docs."""
         if not self.docs:
             raise ValueError("dataset has no documents")
+        _refuse_non_tokens("doc id", self.docs)
+        _refuse_non_tokens("query id", self.queries)
         dangling = sorted({d for per_q in self.qrels.values() for d in per_q} - self.docs.keys())
         if dangling:
             raise ValueError(f"qrels reference unknown docs: {dangling[:10]}")
@@ -80,6 +84,38 @@ def dataset_stats(ds: Dataset) -> DatasetStats:
     )
 
 
+def _fields(path: str | Path, n: int, sep: str | None,
+            layout: str) -> Iterator[tuple[str, list[str]]]:
+    """("path:line", fields) of each line split on sep (None: on whitespace).
+    Lines of no fields are skipped: empty ones, and blank ones with sep None.
+    A line of other than n fields is refused, naming it and the layout."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split(sep)
+            if fields in ([], [""]):
+                continue
+            where = f"{path}:{lineno}"
+            if len(fields) != n:
+                raise ValueError(f"{where}: expected {layout}, got {len(fields)} fields")
+            yield where, fields
+
+
+def _refuse_non_tokens(what: str, values: Iterable[str]) -> None:
+    """Refuse, naming it, a value that is not one whitespace-free token, as ids
+    and run tags must be. One search of the joined values checks them all."""
+    values = list(values)
+    if "" in values or re.search(r"\s", "".join(values)):
+        bad = next(v for v in values if v.split() != [v])
+        raise ValueError(f"{what} {bad!r} is not a whitespace-free token")
+
+
+def _refuse_line_breaks(what: str, texts: Iterable[str]) -> None:
+    """Refuse a text that would split its TSV line: a tab or a line break."""
+    for text in texts:
+        if "\t" in text or "\n" in text or "\r" in text:
+            raise ValueError(f"{what} {text!r} holds a tab or a line break")
+
+
 def load_corpus(path: str | Path) -> dict[str, str]:
     docs: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -94,6 +130,7 @@ def load_corpus(path: str | Path) -> dict[str, str]:
             if not isinstance(obj, dict) or "doc_id" not in obj or "text" not in obj:
                 raise ValueError(f"{path}:{lineno}: expected object with doc_id and text")
             doc_id = str(obj["doc_id"])
+            _refuse_non_tokens(f"{path}:{lineno}: doc_id", [doc_id])
             if doc_id in docs:
                 raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             docs[doc_id] = str(obj["text"])
@@ -101,6 +138,7 @@ def load_corpus(path: str | Path) -> dict[str, str]:
 
 
 def save_corpus(docs: dict[str, str], path: str | Path) -> None:
+    _refuse_non_tokens("doc id", docs)
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, text in docs.items():
             fh.write(json.dumps({"doc_id": doc_id, "text": text}) + "\n")
@@ -108,22 +146,17 @@ def save_corpus(docs: dict[str, str], path: str | Path) -> None:
 
 def load_queries(path: str | Path) -> dict[str, str]:
     queries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected query_id<TAB>text, got {len(parts)} fields")
-            qid, text = parts
-            if qid in queries:
-                raise ValueError(f"{path}:{lineno}: duplicate query id {qid!r}")
-            queries[qid] = text
+    for where, (qid, text) in _fields(path, 2, "\t", "query_id<TAB>text"):
+        _refuse_non_tokens(f"{where}: query id", [qid])
+        if qid in queries:
+            raise ValueError(f"{where}: duplicate query id {qid!r}")
+        queries[qid] = text
     return queries
 
 
 def save_queries(queries: dict[str, str], path: str | Path) -> None:
+    _refuse_non_tokens("query id", queries)
+    _refuse_line_breaks("query text", queries.values())
     with open(path, "w", encoding="utf-8") as fh:
         for qid, text in queries.items():
             fh.write(f"{qid}\t{text}\n")
@@ -131,56 +164,42 @@ def save_queries(queries: dict[str, str], path: str | Path) -> None:
 
 def load_triples(path: str | Path) -> list[TrainTriple]:
     triples: list[TrainTriple] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected query<TAB>pos_doc_id<TAB>neg_doc_id, got {len(parts)} fields"
-                )
-            try:
-                triples.append(TrainTriple(*parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for where, parts in _fields(path, 3, "\t", "query<TAB>pos_doc_id<TAB>neg_doc_id"):
+        try:
+            triples.append(TrainTriple(*parts))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return triples
 
 
 def save_triples(triples: list[TrainTriple], path: str | Path) -> None:
+    _refuse_non_tokens("triple doc id", [d for t in triples for d in (t.pos_doc_id, t.neg_doc_id)])
+    _refuse_line_breaks("triple query text", (t.query for t in triples))
     with open(path, "w", encoding="utf-8") as fh:
         for t in triples:
-            if "\t" in t.query:
-                raise ValueError("triple query text may not contain tabs")
             fh.write(f"{t.query}\t{t.pos_doc_id}\t{t.neg_doc_id}\n")
 
 
 def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     """TREC qrels: query_id 0 doc_id grade, whitespace separated."""
     qrels: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            qid, _, doc_id, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: grade {grade_s!r} is not an integer") from None
-            if grade < 0:
-                raise ValueError(f"{path}:{lineno}: negative grade {grade}")
-            per_q = qrels.setdefault(qid, {})
-            if doc_id in per_q:
-                raise ValueError(f"{path}:{lineno}: duplicate judgment for ({qid}, {doc_id})")
-            per_q[doc_id] = grade
+    for where, (qid, _, doc_id, grade_s) in _fields(path, 4, None, "query_id 0 doc_id grade"):
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise ValueError(f"{where}: grade {grade_s!r} is not an integer") from None
+        if grade < 0:
+            raise ValueError(f"{where}: negative grade {grade}")
+        per_q = qrels.setdefault(qid, {})
+        if doc_id in per_q:
+            raise ValueError(f"{where}: duplicate judgment for ({qid}, {doc_id})")
+        per_q[doc_id] = grade
     return qrels
 
 
 def save_qrels(qrels: dict[str, dict[str, int]], path: str | Path) -> None:
+    _refuse_non_tokens("query id", qrels)
+    _refuse_non_tokens("doc id", {d for per_q in qrels.values() for d in per_q})
     with open(path, "w", encoding="utf-8") as fh:
         for qid in sorted(qrels):
             for doc_id in sorted(qrels[qid]):

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 from scipy.special import betainc
 
+from .data import _fields, _refuse_non_tokens
 from .index import RankedList
 from .model import SparseVector
 
@@ -137,15 +138,15 @@ def sparsity_stats(vectors: Iterable[SparseVector]) -> dict[str, float]:
 def write_run(runs: dict[str, RankedList], path: str | Path, tag: str = "run") -> None:
     """TREC run lines, queries in id order: query_id Q0 doc_id rank score
     tag. Rank is regenerated from entry order; scores carry 6 decimal
-    digits."""
-    if any(" " in r.query_id or "\t" in r.query_id for r in runs.values()):
-        raise ValueError("query ids may not contain whitespace")
+    digits. The tag and every id must be whitespace-free tokens, which is
+    checked before the file is opened."""
+    _refuse_non_tokens("run tag", [tag])
+    _refuse_non_tokens("query id", [r.query_id for r in runs.values()])
+    _refuse_non_tokens("doc id", {d for r in runs.values() for d, _ in r.entries})
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for ranked in (runs[qid] for qid in sorted(runs)):
             for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
-                if " " in doc_id or "\t" in doc_id:
-                    raise ValueError(f"doc id {doc_id!r} contains whitespace")
                 fh.write(f"{ranked.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
 
 
@@ -153,23 +154,17 @@ def read_run(path: str | Path) -> dict[str, RankedList]:
     """Parse a TREC run; entries are ordered by their rank field."""
     rows: dict[str, list[tuple[int, str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            qid, _q0, doc_id, rank_s, score_s, _tag = parts
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad rank or score") from None
-            if (qid, doc_id) in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for ({qid}, {doc_id})")
-            seen.add((qid, doc_id))
-            rows.setdefault(qid, []).append((rank, doc_id, score))
+    for where, (qid, _q0, doc_id, rank_s, score_s, _tag) in _fields(
+            path, 6, None, "query_id Q0 doc_id rank score tag"):
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise ValueError(f"{where}: bad rank or score") from None
+        if (qid, doc_id) in seen:
+            raise ValueError(f"{where}: duplicate entry for ({qid}, {doc_id})")
+        seen.add((qid, doc_id))
+        rows.setdefault(qid, []).append((rank, doc_id, score))
     out: dict[str, RankedList] = {}
     for qid, entries in rows.items():
         entries.sort(key=lambda e: e[0])
@@ -249,15 +244,6 @@ class EvalReport:
         for test, s in zip(payload["significance"], self.significance):
             test["significant"] = s.significant
         return json.dumps(payload, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        obj["methods"] = [MethodResult(**m) for m in obj["methods"]]
-        obj["significance"] = [
-            SignificanceTest(**{k: v for k, v in s.items() if k != "significant"})
-            for s in obj["significance"]]
-        return cls(**obj)
 
     def format_table(self) -> str:
         depth = self.metric_depth

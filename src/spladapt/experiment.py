@@ -34,8 +34,8 @@ from .model import EncoderWeights, SparseVector
 from .params import Checkpoint
 from .training import PipelineSpec, _Stages, run_pipeline
 
-# Stages fine-tune, compose and save through training._Stages, and sparse_run
-# scores through retrieve_sparse_batch. These four names stay importable from
+# Stages fine-tune, compose and save through training._Stages, and rows
+# score through retrieve_sparse_batch. These four names stay importable from
 # here because bench/tracing.py patches them in this module.
 from .index import retrieve_sparse  # noqa: F401,E402
 from .params import compose, save_checkpoint  # noqa: F401,E402
@@ -43,7 +43,7 @@ from .training import finetune_ir  # noqa: F401,E402
 from .vocab import Vocabulary, tokenize
 
 __all__ = [
-    "DEFAULT_CUTOFF", "encode_queries", "sparse_run", "bm25_run",
+    "DEFAULT_CUTOFF", "encode_queries", "bm25_run",
     "sparse_method", "bm25_method", "build_report",
     "run_experiment", "benchmark_variants", "sweep_k", "format_sweep_table",
 ]
@@ -54,14 +54,9 @@ DEFAULT_CUTOFF = 100
 
 
 def encode_queries(weights: EncoderWeights, queries: dict[str, str],
-                   vocab: Vocabulary, batch_size: int = 32) -> dict[str, SparseVector]:
+                   vocab: Vocabulary) -> dict[str, SparseVector]:
     """Sparse query vectors; a query with no content tokens encodes empty."""
-    return encode_corpus(weights, queries, vocab, batch_size=batch_size)
-
-
-def sparse_run(index: InvertedIndex, query_vecs: dict[str, SparseVector],
-               cutoff: int) -> dict[str, RankedList]:
-    return retrieve_sparse_batch(index, query_vecs, cutoff)
+    return encode_corpus(weights, queries, vocab)
 
 
 def bm25_run(index: InvertedIndex, queries: dict[str, str], vocab: Vocabulary,
@@ -77,7 +72,7 @@ def sparse_method(name: str, weights: EncoderWeights, dataset: Dataset, vocab: V
     doc_reps = encode_corpus(weights, dataset.docs, vocab)
     index = index_from_vectors(doc_reps, {d: len(tokenize(t)) for d, t in dataset.docs.items()})
     query_vecs = encode_queries(weights, dataset.queries, vocab)
-    run = sparse_run(index, query_vecs, cutoff)
+    run = retrieve_sparse_batch(index, query_vecs, cutoff)
     method = MethodResult.from_run(name, run, dataset.qrels)
     method.doc_sparsity = sparsity_stats(doc_reps.values())
     method.query_sparsity = sparsity_stats(query_vecs.values())

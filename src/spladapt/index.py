@@ -193,9 +193,9 @@ def _encode_batch(weights: EncoderWeights,
 
 
 def build_impact_index(docs: dict[str, str], weights: EncoderWeights,
-                       vocab: Vocabulary, batch_size: int = 32) -> InvertedIndex:
+                       vocab: Vocabulary) -> InvertedIndex:
     """Index learned representation weights; zero-weight terms never appear."""
-    reps = encode_corpus(weights, docs, vocab, batch_size=batch_size)
+    reps = encode_corpus(weights, docs, vocab)
     return index_from_vectors(reps, {d: len(tokenize(text)) for d, text in docs.items()})
 
 

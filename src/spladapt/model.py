@@ -52,8 +52,8 @@ LN_EPS = 1e-12
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture hyperparameters. k_domain_layers is the number of leading
-    transformer layers assigned to the domain subset (validated where the
-    partition is taken, so invalid k values are representable but unusable)."""
+    transformer layers assigned to the domain subset: an integer >= 0 here,
+    checked against n_layers where the partition is taken."""
 
     vocab_size: int = 2000
     n_layers: int = 6
@@ -68,6 +68,8 @@ class ModelConfig:
             value = getattr(self, field_name)
             if not isinstance(value, (int, np.integer)) or value <= 0:
                 raise ValueError(f"{field_name} must be a positive integer, got {value!r}")
+        if not isinstance(self.k_domain_layers, (int, np.integer)) or self.k_domain_layers < 0:
+            raise ValueError(f"k_domain_layers must be an integer >= 0, got {self.k_domain_layers!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.vocab_size <= N_SPECIALS:

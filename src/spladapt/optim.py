@@ -2,7 +2,7 @@
 
 State holds first and second moments for exactly the tensors it was built
 for; each step updates every tensor of the dict it is given, in sorted name
-order.
+order. Only the rate is set per state; BETA1, BETA2 and EPS are fixed.
 """
 
 from __future__ import annotations
@@ -13,23 +13,21 @@ import numpy as np
 
 from .autodiff import Tensor
 
-__all__ = ["AdamState", "adam_step"]
+__all__ = ["AdamState", "adam_step", "BETA1", "BETA2", "EPS"]
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_weights(cls, weights: dict[str, Tensor], lr: float = 1e-3,
-                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_weights(cls, weights: dict[str, Tensor], lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, tensor in weights.items():
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
@@ -44,9 +42,8 @@ def adam_step(weights: dict[str, Tensor], grads: dict[str, np.ndarray],
     zero gradient.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name in sorted(weights):
         w = weights[name]
         g = grads.get(name)
@@ -57,8 +54,8 @@ def adam_step(weights: dict[str, Tensor], grads: dict[str, np.ndarray],
         m = state.m[name]
         v = state.v[name]
         dt = w.data.dtype.type
-        np.add(dt(b1) * m, dt(1.0 - b1) * g, out=m)
-        np.add(dt(b2) * v, dt(1.0 - b2) * (g * g), out=v)
+        np.add(dt(BETA1) * m, dt(1.0 - BETA1) * g, out=m)
+        np.add(dt(BETA2) * v, dt(1.0 - BETA2) * (g * g), out=v)
         m_hat = m / dt(bc1)
         v_hat = v / dt(bc2)
-        w.data -= dt(state.lr) * m_hat / (np.sqrt(v_hat) + dt(state.eps))
+        w.data -= dt(state.lr) * m_hat / (np.sqrt(v_hat) + dt(EPS))

@@ -80,8 +80,6 @@ def partition_parameters(config: ModelConfig) -> ParameterPartition:
     """Split parameter names into the domain subset (embeddings, MLM bias,
     layers 0..k-1) and the task subset (layers k..L-1)."""
     k = config.k_domain_layers
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
     if k >= config.n_layers:
         raise ValueError(
             f"k={k} with {config.n_layers} layers leaves no task layers; k must be < n_layers"

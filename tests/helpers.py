@@ -1,7 +1,7 @@
 """Test-only helpers: finite-difference gradients, per-tensor checksums, the
 byte comparison that audits frozen tensors, a full-sort top-k reference, a
-field-by-field report.json writer, and the vocabulary and partition lookups
-that only tests make."""
+field-by-field report.json writer and its reader, and the vocabulary and
+partition lookups that only tests make."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from spladapt.autodiff import Tensor
-from spladapt.evaluation import EvalReport
+from spladapt.evaluation import EvalReport, MethodResult, SignificanceTest
 from spladapt.index import InvertedIndex, RankedList
 from spladapt.model import EncoderWeights
 from spladapt.params import ParameterPartition, _tensor_bytes, fnv1a64
@@ -113,6 +113,16 @@ def reference_report_json(report: EvalReport) -> str:
         "metadata": report.metadata,
     }
     return json.dumps(payload, indent=1)
+
+
+def report_from_json(text: str) -> EvalReport:
+    """The EvalReport that EvalReport.to_json wrote as text."""
+    obj = json.loads(text)
+    obj["methods"] = [MethodResult(**m) for m in obj["methods"]]
+    obj["significance"] = [
+        SignificanceTest(**{k: v for k, v in s.items() if k != "significant"})
+        for s in obj["significance"]]
+    return EvalReport(**obj)
 
 
 def term_of(vocab: Vocabulary, tid: int) -> str:

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 from spladapt.cli import apply_overrides, load_config, main
-from spladapt.evaluation import EvalReport, read_run
+from spladapt.evaluation import read_run
 from spladapt.index import load_index
 from spladapt.params import STAGES
 from spladapt.training import MODES
+
+from helpers import report_from_json
 
 TINY = {
     "model": {"vocab_size": 400, "n_layers": 2, "d_model": 16, "n_heads": 2,
@@ -65,6 +67,12 @@ class TestConfig:
             path.write_text(f'{{"pipeline": {{"{key}": 1}}}}')
             with pytest.raises(ValueError, match=key):
                 load_config(path)
+
+    def test_a_string_k_names_the_field(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"model": {"k_domain_layers": "1"}}')
+        with pytest.raises(ValueError, match="section 'model': k_domain_layers"):
+            load_config(path)
 
     def test_unknown_synth_key(self, tmp_path):
         path = tmp_path / "c.json"
@@ -154,7 +162,7 @@ class TestPipeline:
     def test_full_mode_emits_four_stage_checkpoints_and_report(self, pipeline_dir):
         for stage in ("pretrain_source", "pretrain_target", "finetune_source", "composed"):
             assert (pipeline_dir / "checkpoints" / stage / "manifest.json").exists()
-        report = EvalReport.from_json((pipeline_dir / "report.json").read_text())
+        report = report_from_json((pipeline_dir / "report.json").read_text())
         assert [m.name for m in report.methods] == ["bm25", "zeroshot", "composed"]
         assert {(s.method, s.baseline) for s in report.significance} == {
             ("composed", "bm25"), ("composed", "zeroshot")}
@@ -165,7 +173,7 @@ class TestPipeline:
     def test_wo_pretraining_composed_row_equals_zeroshot_row(self, config_path, tmp_path):
         assert main(["pipeline", "--config", config_path, "--workdir", str(tmp_path),
                      "--mode", "wo_pretraining"]) == 0
-        report = EvalReport.from_json((tmp_path / "report.json").read_text())
+        report = report_from_json((tmp_path / "report.json").read_text())
         composed, zeroshot = report.method("composed"), report.method("zeroshot")
         assert composed.per_query_ndcg == zeroshot.per_query_ndcg
         assert composed.ndcg10 == zeroshot.ndcg10
@@ -173,7 +181,7 @@ class TestPipeline:
     def test_variants_report_has_five_rows(self, config_path, tmp_path):
         assert main(["pipeline", "--config", config_path, "--workdir", str(tmp_path),
                      "--variants"]) == 0
-        report = EvalReport.from_json((tmp_path / "report.json").read_text())
+        report = report_from_json((tmp_path / "report.json").read_text())
         assert [m.name for m in report.methods] == [
             "bm25", "zeroshot", "composed", "wo_source", "wo_pretraining"]
         # ablation checkpoints saved alongside the standard stages
@@ -405,7 +413,7 @@ class TestEvaluateTtest:
                      "--run", str(pipeline_dir / "runs" / "composed.trec"),
                      "--qrels", str(pipeline_dir / "data" / "target" / "qrels.trec")]) == 0
         out = json.loads(capsys.readouterr().out)
-        report = EvalReport.from_json((pipeline_dir / "report.json").read_text())
+        report = report_from_json((pipeline_dir / "report.json").read_text())
         assert out["ndcg10"] == pytest.approx(report.method("composed").ndcg10, abs=1e-12)
         assert out["n_queries"] == len(report.method("composed").per_query_ndcg)
 
@@ -415,7 +423,7 @@ class TestEvaluateTtest:
                      "--run-b", str(pipeline_dir / "runs" / "bm25.trec"),
                      "--qrels", str(pipeline_dir / "data" / "target" / "qrels.trec")]) == 0
         out = json.loads(capsys.readouterr().out)
-        report = EvalReport.from_json((pipeline_dir / "report.json").read_text())
+        report = report_from_json((pipeline_dir / "report.json").read_text())
         sig = next(s for s in report.significance if s.baseline == "bm25")
         assert out["t"] == pytest.approx(sig.t, abs=1e-12)
         assert out["p"] == pytest.approx(sig.p, abs=1e-12)

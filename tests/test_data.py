@@ -49,6 +49,13 @@ class TestContainers:
         with pytest.raises(ValueError, match="q9"):
             ds.validate()
 
+    @pytest.mark.parametrize("where", ["docs", "queries"])
+    def test_whitespace_id_rejected_by_name(self, where):
+        ds = _dataset()
+        getattr(ds, where)["x y"] = "alpha"
+        with pytest.raises(ValueError, match="'x y' is not a whitespace-free token"):
+            ds.validate()
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="no documents"):
             Dataset(docs={}).validate()
@@ -81,6 +88,12 @@ class TestCorpusFile:
         with pytest.raises(ValueError, match=":2:"):
             load_corpus(path)
 
+    def test_whitespace_doc_id_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"doc_id": "d1", "text": "a"}\n{"doc_id": "d 2", "text": "b"}\n')
+        with pytest.raises(ValueError, match=":2: doc_id 'd 2'"):
+            load_corpus(path)
+
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"doc_id": "d1", "text": "a"}\nnot json\n')
@@ -107,6 +120,19 @@ class TestQueryFile:
         with pytest.raises(ValueError, match=":1:"):
             load_queries(path)
 
+    def test_whitespace_query_id_names_line(self, tmp_path):
+        path = tmp_path / "q.tsv"
+        path.write_text("q1\talpha\nq 2\tbeta\n")
+        with pytest.raises(ValueError, match=":2: query id 'q 2'"):
+            load_queries(path)
+
+    @pytest.mark.parametrize("text", ["alpha\tbeta", "alpha\nbeta", "alpha\rbeta"])
+    def test_text_that_would_split_its_line_is_not_written(self, tmp_path, text):
+        path = tmp_path / "q.tsv"
+        with pytest.raises(ValueError, match="tab or a line break"):
+            save_queries({"q1": "fine", "q2": text}, path)
+        assert not path.exists()
+
 
 class TestTripleFile:
     def test_round_trip(self, tmp_path):
@@ -114,6 +140,13 @@ class TestTripleFile:
         path = tmp_path / "triples.tsv"
         save_triples(triples, path)
         assert load_triples(path) == triples
+
+    @pytest.mark.parametrize("text", ["alpha\tbeta", "alpha\nbeta"])
+    def test_text_that_would_split_its_line_is_not_written(self, tmp_path, text):
+        path = tmp_path / "triples.tsv"
+        with pytest.raises(ValueError, match="tab or a line break"):
+            save_triples([TrainTriple("fine", "d1", "d2"), TrainTriple(text, "d1", "d2")], path)
+        assert not path.exists()
 
 
 class TestQrelsFile:

@@ -19,7 +19,7 @@ from spladapt.evaluation import (
 from spladapt.index import RankedList
 from spladapt.model import SparseVector
 
-from helpers import reference_report_json
+from helpers import reference_report_json, report_from_json
 
 
 # reference implementations (second route)
@@ -232,6 +232,22 @@ def test_write_run_rejects_whitespace_ids(tmp_path):
         write_run({"q1": RankedList("q1", [("d 1", 1.0)])}, tmp_path / "r.trec")
 
 
+@pytest.mark.parametrize("runs, tag, bad", [
+    ({"q1": RankedList("q1\nq2", [("d1", 1.0)])}, "run", "query id"),
+    ({"q1": RankedList("q1", [("d1\n", 1.0)])}, "run", "doc id"),
+    ({"q1": RankedList("q1", [("d1", 1.0)])}, "my run", "run tag"),
+    ({"q1": RankedList("q1", [("d1", 1.0)]), "q2": RankedList("q2", [("d 2", 0.5)])}, "run",
+     "doc id"),
+], ids=["newline_in_query_id", "newline_in_doc_id", "space_in_tag", "bad_doc_in_second_query"])
+def test_write_run_refuses_what_read_run_would_before_writing(tmp_path, runs, tag, bad):
+    """Ids and the tag must be whitespace-free tokens; a refused run leaves
+    no file behind, not even the lines of the queries before the bad one."""
+    path = tmp_path / "r.trec"
+    with pytest.raises(ValueError, match=f"^{bad} "):
+        write_run(runs, path, tag=tag)
+    assert not path.exists()
+
+
 def test_write_run_creates_parent_directories(tmp_path):
     path = tmp_path / "runs" / "nested" / "r.trec"
     write_run({"q1": RankedList("q1", [("d1", 1.0)])}, path)
@@ -268,7 +284,7 @@ def test_report_json_round_trip():
     report.method("good").doc_sparsity = {"mean_l0": 12.5, "median_l0": 12.0, "max_l0": 20.0}
     report.add_significance("good", "bad")
     report.metadata["seed"] = 7
-    loaded = EvalReport.from_json(report.to_json())
+    loaded = report_from_json(report.to_json())
     assert loaded.dataset == "toy" and loaded.cutoff == 100
     assert loaded.method("good").ndcg10 == report.method("good").ndcg10
     assert loaded.method("good").doc_sparsity == report.method("good").doc_sparsity
@@ -299,7 +315,7 @@ def test_report_json_keeps_the_field_by_field_bytes(name):
         assert [math.isinf(s.t) for s in report.significance] == [True, False]
     text = report.to_json()
     assert text == reference_report_json(report)
-    assert EvalReport.from_json(text) == report
+    assert report_from_json(text) == report
 
 
 def test_report_significance_requires_shared_queries():

@@ -103,7 +103,7 @@ def test_impact_index_from_encoder_consistent_with_single_encoding():
     weights = init_weights(cfg, seed=0)
     vocab = Vocabulary([f"w{i}" for i in range(35)])
     docs = {f"d{i}": " ".join(f"w{(i + j) % 35}" for j in range(6)) for i in range(9)}
-    index = build_impact_index(docs, weights, vocab, batch_size=4)
+    index = build_impact_index(docs, weights, vocab)
     reps = encode_corpus(weights, docs, vocab, batch_size=4)
     for doc_id, text in docs.items():
         ids = vocab.encode(text, cfg.max_seq_len)[None, :]

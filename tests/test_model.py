@@ -43,6 +43,17 @@ def test_config_validation():
         ModelConfig.from_dict({"vocab_size": 100, "bogus": 1})
 
 
+@pytest.mark.parametrize("k", [1.5, "1", -1, None])
+def test_k_domain_layers_must_be_an_integer_at_least_0(k):
+    with pytest.raises(ValueError, match="k_domain_layers"):
+        ModelConfig(k_domain_layers=k)
+
+
+def test_k_domain_layers_takes_numpy_integers_and_0():
+    assert ModelConfig(k_domain_layers=np.int64(1)).k_domain_layers == 1
+    assert ModelConfig(k_domain_layers=0).k_domain_layers == 0
+
+
 def test_init_deterministic_and_seed_sensitive():
     a = init_weights(TINY, seed=1)
     b = init_weights(TINY, seed=1)
